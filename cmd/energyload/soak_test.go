@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -81,6 +82,39 @@ func TestSoakReplayByteIdentical(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two replays against identically-seeded servers differ:\n--- a\n%s\n--- b\n%s", a, b)
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden soak reports under testdata/")
+
+// checkGolden compares a report byte for byte against its checked-in
+// golden file, or rewrites the file under -update. The goldens pin the
+// serving path's every status, counter and ledger value across
+// refactors, which run-to-run identity alone cannot.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -run %s -update)", err, t.Name())
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("report differs from %s (regenerate with -update only for an intended change):\n--- got\n%s", path, got)
+	}
+}
+
+func TestSoakReportGolden(t *testing.T) {
+	checkGolden(t, "soak_report.golden.json", replaySoak(t))
+}
+
+func TestMembershipSoakReportGolden(t *testing.T) {
+	raw, _ := replayMembershipSoak(t)
+	checkGolden(t, "membership_soak_report.golden.json", raw)
 }
 
 // The soak must actually exercise the failure machinery — breaker
