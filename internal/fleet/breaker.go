@@ -119,8 +119,8 @@ func (b *Breaker) Failure() {
 }
 
 // Release frees a probe slot granted by Allow without recording an
-// outcome — the caller was answered from cache, so no sweep ran and
-// the breaker learned nothing.
+// outcome: no sweep ran for the caller, or its outcome says nothing
+// about the sweep path (see sweep.go).
 func (b *Breaker) Release() {
 	b.mu.Lock()
 	b.probing = false

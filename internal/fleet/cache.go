@@ -173,8 +173,8 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val
 }
 
 // Put stores a value computed outside Do — the fleet placement path
-// shards many devices' sweeps onto one worker pool and deposits each
-// device's share here afterwards. Concurrent Put and Do for the same key
+// shards many devices' sweeps onto one worker pool, and Node.Settle
+// deposits each device's share here afterwards. Concurrent Put and Do for the same key
 // are safe: sweeps are deterministic in the key, so whichever write
 // lands last stores the same bytes the other computed.
 func (c *Cache) Put(key string, val any) {
@@ -204,8 +204,8 @@ func (c *Cache) insert(key string, val any) {
 
 // Get returns the cached value for key without computing anything on a
 // miss. A hit still refreshes the entry's LRU position. This is the
-// degraded-mode read path: while a device's breaker is open the serving
-// layer answers from here instead of calling Do.
+// sweep protocol's cache-first read (Node.Admit), which answers before
+// the breaker is asked.
 //
 //energylint:hotpath
 func (c *Cache) Get(key string) (any, bool) {

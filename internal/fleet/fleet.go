@@ -159,10 +159,6 @@ func (n *Node) Acquire() func() {
 // Load returns the node's current in-flight request count.
 func (n *Node) Load() int64 { return n.inflight.Load() }
 
-// Supports reports whether the node's DVFS bounds admit the setting.
-// The legacy single-device node has no bounds and supports everything.
-func (n *Node) Supports(s dvfs.Setting) bool { return n.Spec.supports(s) }
-
 // Registry is the fleet's routing table with live membership. Readers
 // (Route, RouteHealthy, LeastLoaded, Nodes, Get) load one immutable
 // epoch'd snapshot — the member list, the ID index, and a

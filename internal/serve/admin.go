@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/fleet"
@@ -153,11 +152,12 @@ func (s *Server) handleFleetDevice(w http.ResponseWriter, r *http.Request) {
 		deadline := s.drainDeadline
 		if ds := r.URL.Query().Get("deadline_s"); ds != "" {
 			sec, perr := strconv.ParseFloat(ds, 64)
-			if perr != nil || sec <= 0 {
+			d, ok := clientDuration(sec)
+			if perr != nil || !ok {
 				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad deadline_s %q", ds))
 				return
 			}
-			deadline = time.Duration(sec * float64(time.Second))
+			deadline = d
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), deadline)
 		defer cancel()

@@ -165,8 +165,12 @@ func TestAdminRemoveDevice(t *testing.T) {
 	if w := del(t, h, "/v1/fleet/devices/tk1-a?mode=explode"); w.Code != http.StatusBadRequest {
 		t.Errorf("bad mode = %d, want 400", w.Code)
 	}
-	if w := del(t, h, "/v1/fleet/devices/tk1-a?mode=drain&deadline_s=bogus"); w.Code != http.StatusBadRequest {
-		t.Errorf("bad deadline = %d, want 400", w.Code)
+	// Non-finite deadlines and ones too large for a time.Duration would
+	// otherwise wrap into a garbage (possibly already expired) deadline.
+	for _, ds := range []string{"bogus", "0", "-1", "NaN", "Inf", "-Inf", "1e10", "1e300"} {
+		if w := del(t, h, "/v1/fleet/devices/tk1-a?mode=drain&deadline_s="+ds); w.Code != http.StatusBadRequest {
+			t.Errorf("deadline_s=%s = %d, want 400", ds, w.Code)
+		}
 	}
 
 	w := del(t, h, "/v1/fleet/devices/tk1-a?mode=drain&deadline_s=2")

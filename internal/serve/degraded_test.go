@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -83,6 +84,55 @@ func TestDegradedModeServesFromCache(t *testing.T) {
 	json.Unmarshal(postJSON(t, h, "/v1/autotune", body).Body.Bytes(), &again)
 	if again.Degraded {
 		t.Error("recovered answer still flagged degraded")
+	}
+}
+
+// TestAutotuneHugeTimeoutUsesServerCap: a timeout_s too large for a
+// time.Duration used to wrap into an already expired deadline, so every
+// such sweep answered 504 and the fifth opened the breaker for every
+// legitimate request after it. It must fall back to the server's cap.
+func TestAutotuneHugeTimeoutUsesServerCap(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	for i := 0; i < 5; i++ {
+		body := fmt.Sprintf(`{"profile": {"sp": %de8}, "occupancy": 0.9, "timeout_s": 1e10}`, i+1)
+		if w := postJSON(t, h, "/v1/autotune", body); w.Code != http.StatusOK {
+			t.Fatalf("autotune %d with timeout_s 1e10 = %d: %s", i, w.Code, w.Body)
+		}
+	}
+	if state, _ := node0(s).Breaker.Snapshot(); state != fleet.BreakerClosed {
+		t.Fatalf("breaker %v after five healthy sweeps, want closed", state)
+	}
+	if d, ok := clientDuration(1e300); ok {
+		t.Errorf("clientDuration(1e300) = %v, want rejected", d)
+	}
+}
+
+// TestAutotuneOnRemovedDevice: a sweep on a device whose cache an evict
+// or drain closed answers 503 naming the device. The removal says
+// nothing about the device's sweep path, so it records no breaker
+// verdict and no cache miss — threshold-many such requests used to
+// answer 500 and open the breaker.
+func TestAutotuneOnRemovedDevice(t *testing.T) {
+	s := testFleet(t, 1, Options{BreakerThreshold: 2})
+	h := s.Handler()
+	n := node0(s)
+	n.Cache.Close(fleet.ErrDeviceRemoved)
+	for i := 0; i < 2; i++ {
+		w := postJSON(t, h, "/v1/autotune", `{"profile": {"sp": 5e8}, "occupancy": 0.5}`)
+		var body ErrorJSON
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if w.Code != http.StatusServiceUnavailable || body.DeviceID != n.ID {
+			t.Fatalf("autotune %d on a removed device = %d %+v, want 503 naming %s", i, w.Code, body, n.ID)
+		}
+	}
+	if state, _ := n.Breaker.Snapshot(); state != fleet.BreakerClosed {
+		t.Errorf("breaker %v after removed-device sweeps, want closed", state)
+	}
+	if hits, misses := s.metrics.cacheCounts(); hits != 0 || misses != 0 {
+		t.Errorf("cache counters %d hits / %d misses, want 0/0", hits, misses)
 	}
 }
 

@@ -2,15 +2,12 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/experiments"
 	"dvfsroofline/internal/fleet"
-	"dvfsroofline/internal/tegra"
 	"dvfsroofline/internal/units"
 )
 
@@ -65,19 +62,7 @@ func (s *Server) handleFleetPredict(w http.ResponseWriter, r *http.Request) {
 	default:
 		node = s.reg.Route(predictKey(req.PredictRequest))
 	}
-	if node == nil {
-		writeError(w, http.StatusServiceUnavailable, "no active device in the fleet")
-		return
-	}
-	release := node.Acquire()
-	defer release()
-	resp, err := s.predictOn(node, req.PredictRequest)
-	if err != nil {
-		writeErrorDev(w, http.StatusBadRequest, err.Error(), node.ID)
-		return
-	}
-	markDevice(w, node.ID)
-	writeJSON(w, http.StatusOK, FleetPredictResponse{DeviceID: node.ID, PredictResponse: resp})
+	s.predict(w, node, req.PredictRequest, true)
 }
 
 // DevicePlacement is one device's sweep outcome inside a /v1/fleet/place
@@ -114,24 +99,20 @@ type PlaceResponse struct {
 }
 
 // handleFleetPlace answers "which device runs this workload cheapest,
-// and at which DVFS setting?" It checks each device's sweep cache,
-// shards the remaining devices' sweeps as (device, setting) units onto
-// one worker pool (experiments.SweepTargets), deposits each device's
-// share back into that device's cache, and feeds each device's breaker
-// with its own outcome. Devices whose breaker rejects fresh work and
-// whose cache has no entry are skipped, not failed — a placement over
-// the surviving fleet is still useful, and the skip list says what it
-// omits.
+// and at which DVFS setting?" Each active device is admitted through
+// its sweep protocol (fleet.Node.Admit), the admitted devices' sweeps
+// shard as (device, setting) units onto one worker pool
+// (experiments.SweepTargets), and each device settles its own outcome.
+// Devices whose breaker refuses a cold cache are skipped, not failed —
+// a placement over the surviving fleet is still useful, and the skip
+// list says what it omits. A degraded hit counts as a plain hit: the
+// body has no degraded flag to carry it.
 func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 	var req AutotuneRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	gridName := req.Grid
-	if gridName == "" {
-		gridName = "calibration"
-	}
-	wl := tegra.Workload{Profile: req.Profile.profile(), Occupancy: occupancyOrDefault(req.Occupancy)}
+	gridName, wl, timeout := s.sweepRequest(req)
 	if err := wl.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -144,83 +125,55 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, ok := nodes[0].Grids[gridName]; !ok {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown grid %q (want \"calibration\" or \"full\")", gridName))
+		writeError(w, http.StatusBadRequest, unknownGrid(gridName))
 		return
-	}
-
-	timeout := s.timeout
-	if req.TimeoutS > 0 && time.Duration(float64(req.TimeoutS)*float64(time.Second)) < timeout {
-		timeout = time.Duration(float64(req.TimeoutS) * float64(time.Second))
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	// Partition the fleet: cached devices answer immediately, healthy
-	// uncached ones join the sharded sweep, open-breaker misses are
-	// skipped.
+	// targetNodes are the admitted devices, in the same order as targets.
 	sweeps := make(map[string][]core.Candidate, len(nodes))
 	var skips []PlaceSkip
 	var targets []experiments.SweepTarget
 	var targetNodes []*fleet.Node
 	for _, n := range nodes {
-		key := autotuneKey(gridName, wl, n.Cfg.Seed)
-		if val, ok := n.Cache.Get(key); ok {
-			s.metrics.cacheHit(n.ID)
-			sweeps[n.ID] = val.([]core.Candidate)
-			continue
-		}
-		if !n.Breaker.Allow() {
+		cands, out := n.Admit(autotuneKey(gridName, wl, n.Cfg.Seed))
+		s.charge(n, out, cands)
+		switch out {
+		case fleet.SweepCached:
+			sweeps[n.ID] = cands
+		case fleet.SweepSkipped:
 			skips = append(skips, PlaceSkip{DeviceID: n.ID, Reason: "sweep breaker open and no cached sweep"})
-			continue
+		case fleet.SweepAdmitted:
+			targets = append(targets, experiments.SweepTarget{Dev: n.Dev, Cfg: n.Cfg, Grid: n.Grids[gridName]})
+			targetNodes = append(targetNodes, n)
 		}
-		s.metrics.cacheMiss(n.ID)
-		targets = append(targets, experiments.SweepTarget{Dev: n.Dev, Cfg: n.Cfg, Grid: n.Grids[gridName]})
-		targetNodes = append(targetNodes, n)
 	}
 	if len(targets) > 0 {
 		results, err := experiments.SweepTargets(ctx, nodes[0].Cfg, wl, targets)
 		if err != nil {
-			// Cancellation: no per-device outcome exists, so no breaker
-			// signal either way — but every target passed Allow above
-			// and may hold its breaker's half-open probe slot. Release
-			// them all, or a cancelled place request would wedge every
-			// half-open breaker it touched until the next cooldown.
+			// The fan-out as a whole was cancelled or timed out: no
+			// device has an outcome of its own.
 			for _, n := range targetNodes {
-				n.Breaker.Release()
+				n.Abandon()
+				s.charge(n, fleet.SweepFailed, nil)
 			}
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				writeError(w, http.StatusGatewayTimeout, "sweep deadline exceeded")
-			case errors.Is(err, context.Canceled):
-				writeError(w, http.StatusServiceUnavailable, "sweep cancelled")
-			default:
-				writeError(w, http.StatusInternalServerError, err.Error())
-			}
+			code, msg := sweepStatus(err)
+			writeError(w, code, msg)
 			return
 		}
 		for i, res := range results {
 			n := targetNodes[i]
+			n.Settle(autotuneKey(gridName, wl, n.Cfg.Seed), res.Candidates, res.Err)
 			if res.Err != nil {
-				n.Breaker.Failure()
+				s.charge(n, fleet.SweepFailed, nil)
 				skips = append(skips, PlaceSkip{DeviceID: n.ID, Reason: res.Err.Error()})
 				continue
 			}
-			n.Breaker.Success()
-			n.Cache.Put(autotuneKey(gridName, wl, n.Cfg.Seed), res.Candidates)
+			s.charge(n, fleet.SweepFresh, res.Candidates)
 			sweeps[n.ID] = res.Candidates
-			var sweep units.Joule
-			for _, c := range res.Candidates {
-				sweep += c.MeasuredEnergy
-			}
-			s.metrics.addSweepJoules(n.ID, float64(sweep))
-			s.observeSweep(n, res.Candidates)
 		}
 	}
-	if len(sweeps) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no device could sweep this workload")
-		return
-	}
-
 	// Score per device and take the fleet argmin. Iterating nodes in
 	// sorted-ID order makes the strict < tie-break deterministic.
 	resp := PlaceResponse{Grid: gridName, Skipped: skips}
@@ -240,10 +193,14 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 			ModelExtraEnergyPct:  sc.ModelExtraEnergyPct,
 			OracleExtraEnergyPct: sc.OracleExtraEnergyPct,
 		})
-		i := len(resp.Devices) - 1
-		if winner < 0 || resp.Devices[i].MeasuredMin.MeasuredJ < resp.Devices[winner].MeasuredMin.MeasuredJ {
-			winner = i
+		d := len(resp.Devices) - 1
+		if winner < 0 || resp.Devices[d].MeasuredMin.MeasuredJ < resp.Devices[winner].MeasuredMin.MeasuredJ {
+			winner = d
 		}
+	}
+	if winner < 0 {
+		writeError(w, http.StatusServiceUnavailable, "no device could sweep this workload")
+		return
 	}
 	resp.Winner = resp.Devices[winner].DeviceID
 	resp.WinnerPick = resp.Devices[winner].MeasuredMin
@@ -306,12 +263,7 @@ func (s *Server) handleFleetDevicesList(w http.ResponseWriter, r *http.Request) 
 		for name, g := range n.Grids {
 			grids[name] = len(g)
 		}
-		samples := 0
-		var coverage units.Ratio
-		if cal := n.Cal(); cal != nil {
-			samples = len(cal.Samples)
-			coverage = units.Ratio(cal.Coverage.Fraction())
-		}
+		samples, coverage := calStats(n)
 		resp.States[n.State().String()]++
 		resp.Devices = append(resp.Devices, DeviceInfo{
 			DeviceID:       n.ID,

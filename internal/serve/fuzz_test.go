@@ -143,6 +143,10 @@ func FuzzAutotuneRequest(f *testing.F) {
 		`{"profile": {"dp_fma": 1e9}, "grid": "nonsense"}`,
 		`{"profile": {"dp_fma": 1e9}, "occupancy": 2}`,
 		`{"profile": {"int": 5e8, "l2_words": 1e8}, "timeout_s": 0.01}`,
+		// Timeouts too large for a time.Duration must fall back to the
+		// server cap, not wrap into an already expired deadline.
+		`{"profile": {"dp_fma": 1e9}, "timeout_s": 1e10}`,
+		`{"profile": {"dp_fma": 1e9}, "timeout_s": 1e300}`,
 		`{"profile": {"dp_fma": 1e15}}`,
 		`{"profile": {}}`,
 		`{"profile": {"dp_fma": 1e9}, "unknown": true}`,

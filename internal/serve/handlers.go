@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -145,13 +146,24 @@ func (s *Server) predictOn(n *fleet.Node, req PredictRequest) (PredictResponse, 
 	}, nil
 }
 
+// handlePredict is the legacy route: a strict PredictRequest (a device
+// field is a 400) on its consistent-hash home, with the bare body.
+//
 //energylint:hotpath
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req PredictRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	node := s.reg.Route(predictKey(req))
+	s.predict(w, s.reg.Route(predictKey(req)), req, false)
+}
+
+// predict is the body both predict routes share: it answers req on the
+// chosen node and writes the bare PredictResponse, or with named set
+// the FleetPredictResponse that names the device.
+//
+//energylint:hotpath
+func (s *Server) predict(w http.ResponseWriter, node *fleet.Node, req PredictRequest, named bool) {
 	if node == nil {
 		writeError(w, http.StatusServiceUnavailable, "no active device in the fleet")
 		return
@@ -164,7 +176,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	markDevice(w, node.ID)
-	writeJSON(w, http.StatusOK, &resp)
+	if named {
+		writeJSON(w, http.StatusOK, &FleetPredictResponse{DeviceID: node.ID, PredictResponse: resp})
+		return
+	}
+	// A copy, so that only this branch moves a response to the heap.
+	bare := resp
+	writeJSON(w, http.StatusOK, &bare)
 }
 
 // predictKey canonicalizes a predict request for routing: two identical
@@ -247,11 +265,7 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	gridName := req.Grid
-	if gridName == "" {
-		gridName = "calibration"
-	}
-	wl := tegra.Workload{Profile: req.Profile.profile(), Occupancy: occupancyOrDefault(req.Occupancy)}
+	gridName, wl, timeout := s.sweepRequest(req)
 
 	// Sweep traffic routes to the healthiest device in ring order from
 	// the workload's hash: cache-affine when the primary is up, a
@@ -267,7 +281,7 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 
 	grid, ok := node.Grids[gridName]
 	if !ok {
-		writeErrorDev(w, http.StatusBadRequest, fmt.Sprintf("unknown grid %q (want \"calibration\" or \"full\")", gridName), node.ID)
+		writeErrorDev(w, http.StatusBadRequest, unknownGrid(gridName), node.ID)
 		return
 	}
 	if err := wl.Validate(); err != nil {
@@ -278,97 +292,88 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	// The request deadline propagates into the sweep pipeline: client
 	// disconnects and timeouts cancel the in-flight forEach between
 	// units of work.
-	timeout := s.timeout
-	if req.TimeoutS > 0 && time.Duration(float64(req.TimeoutS)*float64(time.Second)) < timeout {
-		timeout = time.Duration(float64(req.TimeoutS) * float64(time.Second))
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-
-	key := autotuneKey(gridName, wl, node.Cfg.Seed)
-	if !node.Breaker.Allow() {
-		// Degraded mode: the breaker is open, so no fresh sweep runs.
-		// A stale cached sweep is still exactly the answer a fresh one
-		// would give (sweeps are deterministic in the key), so serve it
-		// flagged; with nothing cached there is nothing safe to say.
-		if val, ok := node.Cache.Get(key); ok {
-			s.metrics.cacheHit(node.ID)
-			s.metrics.degradedHit(node.ID)
-			resp := scoreSweep(node.Cal().Model, gridName, val.([]core.Candidate))
-			resp.Cached = true
-			resp.Degraded = true
-			s.metrics.addAnsweredJoules(node.ID, float64(resp.Model.MeasuredJ))
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		writeErrorDev(w, http.StatusServiceUnavailable, "sweep breaker open and no cached sweep for this workload", node.ID)
-		return
-	}
-	// The Allow above may hold the breaker's single half-open probe
-	// slot; every exit below must settle it exactly once. The deferred
-	// release is the backstop for a panicking sweep unwinding through
-	// this handler — without it the probe slot leaks and the breaker
-	// never admits another probe.
-	settled := false
-	defer func() {
-		if !settled {
-			node.Breaker.Release()
-		}
-	}()
-	val, hit, err := node.Cache.Do(ctx, key, func() (any, error) {
-		cands, err := experiments.SweepWorkload(ctx, node.Dev, node.Cfg, wl, grid)
-		if err != nil {
-			return nil, err
-		}
-		return cands, nil
+	cands, out, err := node.Sweep(ctx, autotuneKey(gridName, wl, node.Cfg.Seed), func() ([]core.Candidate, error) {
+		return experiments.SweepWorkload(ctx, node.Dev, node.Cfg, wl, grid)
 	})
-	switch {
-	case hit:
-		s.metrics.cacheHit(node.ID)
-		node.Breaker.Release() // no sweep ran; free any half-open probe slot
-	case errors.Is(err, fleet.ErrShared), errors.Is(err, fleet.ErrWaiterAbandoned):
-		// Waiter outcomes: another request's sweep failed, or this
-		// waiter's context ended first. Neither says anything about a
-		// sweep this request ran, so the probe slot is released, not
-		// scored — and the owner already fed the breaker its verdict.
-		node.Breaker.Release()
-	case err == nil:
-		s.metrics.cacheMiss(node.ID)
-		node.Breaker.Success()
-		var sweep units.Joule
-		for _, c := range val.([]core.Candidate) {
-			sweep += c.MeasuredEnergy
-		}
-		s.metrics.addSweepJoules(node.ID, float64(sweep))
-		// Only this branch ran a fresh measured sweep; cached and shared
-		// results re-score old bytes and carry no drift signal.
-		s.observeSweep(node, val.([]core.Candidate))
-	case errors.Is(err, context.Canceled):
-		// This request's own cancellation says nothing about the sweep
-		// path's health, so it carries no signal either way — but the
-		// probe slot must still be freed.
-		s.metrics.cacheMiss(node.ID)
-		node.Breaker.Release()
-	default:
-		s.metrics.cacheMiss(node.ID)
-		node.Breaker.Failure()
-	}
-	settled = true
+	s.charge(node, out, cands)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeErrorDev(w, http.StatusGatewayTimeout, "sweep deadline exceeded", node.ID)
-		case errors.Is(err, context.Canceled):
-			writeErrorDev(w, http.StatusServiceUnavailable, "sweep cancelled", node.ID)
-		default:
-			writeErrorDev(w, http.StatusInternalServerError, err.Error(), node.ID)
-		}
+		code, msg := sweepStatus(err)
+		writeErrorDev(w, code, msg, node.ID)
 		return
 	}
-	resp := scoreSweep(node.Cal().Model, gridName, val.([]core.Candidate))
-	resp.Cached = hit
+	resp := scoreSweep(node.Cal().Model, gridName, cands)
+	resp.Cached = out == fleet.SweepCached || out == fleet.SweepDegraded
+	resp.Degraded = out == fleet.SweepDegraded
 	s.metrics.addAnsweredJoules(node.ID, float64(resp.Model.MeasuredJ))
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// sweepRequest is the prelude autotune and place share: the grid name
+// (default "calibration"), the workload at its default occupancy, and
+// the sweep deadline — the client's timeout_s when it is shorter than
+// the server's cap.
+func (s *Server) sweepRequest(req AutotuneRequest) (gridName string, wl tegra.Workload, timeout time.Duration) {
+	gridName = req.Grid
+	if gridName == "" {
+		gridName = "calibration"
+	}
+	wl = tegra.Workload{Profile: req.Profile.profile(), Occupancy: occupancyOrDefault(req.Occupancy)}
+	timeout = s.timeout
+	if d, ok := clientDuration(float64(req.TimeoutS)); ok && d < timeout {
+		timeout = d
+	}
+	return gridName, wl, timeout
+}
+
+// clientDuration converts a client-supplied count of seconds into a
+// Duration. ok is false for NaN, non-positive values, and values too
+// large for a Duration, which would otherwise wrap into a negative,
+// already expired deadline.
+func clientDuration(sec float64) (d time.Duration, ok bool) {
+	ns := sec * float64(time.Second)
+	if !(ns > 0) || ns >= math.MaxInt64 {
+		return 0, false
+	}
+	return time.Duration(ns), true
+}
+
+func unknownGrid(name string) string {
+	return fmt.Sprintf("unknown grid %q (want \"calibration\" or \"full\")", name)
+}
+
+// sweepStatus maps a sweep error onto its HTTP status and message.
+func sweepStatus(err error) (code int, msg string) {
+	switch {
+	case errors.Is(err, fleet.ErrBreakerOpen):
+		return http.StatusServiceUnavailable, "sweep breaker open and no cached sweep for this workload"
+	case errors.Is(err, fleet.ErrDeviceRemoved):
+		return http.StatusServiceUnavailable, "device removed from the fleet"
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, "sweep deadline exceeded"
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable, "sweep cancelled"
+	default:
+		return http.StatusInternalServerError, err.Error()
+	}
+}
+
+// charge books one device's sweep outcome: the cache hit, miss and
+// degraded counters, and for a fresh sweep the sweep_j ledger and the
+// drift watchdog's observation. Cached answers re-score old bytes and
+// carry no drift signal.
+func (s *Server) charge(n *fleet.Node, out fleet.SweepOutcome, cands []core.Candidate) {
+	if out != fleet.SweepFresh {
+		s.metrics.charge(n.ID, out, 0)
+		return
+	}
+	var sweep units.Joule
+	for _, c := range cands {
+		sweep += c.MeasuredEnergy
+	}
+	s.metrics.charge(n.ID, out, float64(sweep))
+	s.observeSweep(n, cands)
 }
 
 // scoreSweep runs the three pickers of §II-E over one finished sweep.
@@ -551,24 +556,25 @@ func cvSummary(r core.CVResult) CVSummaryJSON {
 // calibrations. It stays 200 in degraded mode so orchestrators do not
 // restart a daemon that is usefully serving stale answers.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.legacy {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":  "ok",
-			"samples": len(s.reg.Nodes()[0].Cal().Samples),
-		})
-		return
-	}
 	samples := 0
 	for _, n := range s.reg.Nodes() {
-		if cal := n.Cal(); cal != nil {
-			samples += len(cal.Samples)
-		}
+		count, _ := calStats(n)
+		samples += count
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "ok",
-		"devices": s.reg.Len(),
-		"samples": samples,
-	})
+	body := map[string]any{"status": "ok", "samples": samples}
+	if !s.legacy {
+		body["devices"] = s.reg.Len()
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+// calStats returns a node's calibration sample count and coverage, both
+// zero while a runtime add is still calibrating.
+func calStats(n *fleet.Node) (samples int, coverage units.Ratio) {
+	if cal := n.Cal(); cal != nil {
+		return len(cal.Samples), units.Ratio(cal.Coverage.Fraction())
+	}
+	return 0, 0
 }
 
 // handleReadyz is readiness. Legacy mode keeps its historic contract:
@@ -603,12 +609,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		if state == fleet.BreakerOpen {
 			open++
 		}
-		samples := 0
-		var coverage units.Ratio
-		if cal := n.Cal(); cal != nil {
-			samples = len(cal.Samples)
-			coverage = units.Ratio(cal.Coverage.Fraction())
-		}
+		samples, coverage := calStats(n)
 		states[n.State().String()]++
 		devices = append(devices, deviceReadiness{
 			DeviceID: n.ID,
@@ -648,94 +649,65 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.writeText(w)
 
-	// Per-device gauges. The legacy node's empty ID prints the historic
-	// unlabeled lines, so single-device scrape output is byte-identical.
-	deviceLine := func(name, id string, v any) {
-		if id == "" {
-			fmt.Fprintf(w, "%s %v\n", name, v)
-		} else {
-			fmt.Fprintf(w, "%s{device=%q} %v\n", name, id, v)
-		}
-	}
+	// perDevice prints one metric family with a line per node; value
+	// returns nil to skip a node. The legacy node's empty ID prints the
+	// historic unlabeled line, so single-device scrape output is
+	// byte-identical.
 	nodes := s.reg.Nodes()
-
-	fmt.Fprintln(w, "# HELP energyd_breaker_state Sweep circuit breaker state (0=closed, 1=half-open, 2=open).")
-	fmt.Fprintln(w, "# TYPE energyd_breaker_state gauge")
-	for _, n := range nodes {
-		state, _ := n.Breaker.Snapshot()
-		deviceLine("energyd_breaker_state", n.ID, int(state))
-	}
-	fmt.Fprintln(w, "# HELP energyd_breaker_opens_total Times the sweep breaker has opened.")
-	fmt.Fprintln(w, "# TYPE energyd_breaker_opens_total counter")
-	for _, n := range nodes {
-		_, opens := n.Breaker.Snapshot()
-		deviceLine("energyd_breaker_opens_total", n.ID, opens)
-	}
-
-	// Calibration gauges cover calibrated devices only: a runtime add
-	// still calibrating has no coverage to report yet.
-	fmt.Fprintln(w, "# HELP energyd_calibration_coverage_fraction Fraction of calibration samples measured (1 = complete).")
-	fmt.Fprintln(w, "# TYPE energyd_calibration_coverage_fraction gauge")
-	for _, n := range nodes {
-		if cal := n.Cal(); cal != nil {
-			deviceLine("energyd_calibration_coverage_fraction", n.ID, cal.Coverage.Fraction())
+	perDevice := func(name, typ, help string, value func(n *fleet.Node) any) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+		for _, n := range nodes {
+			switch v := value(n); {
+			case v == nil:
+			case n.ID == "":
+				fmt.Fprintf(w, "%s %v\n", name, v)
+			default:
+				fmt.Fprintf(w, "%s{device=%q} %v\n", name, n.ID, v)
+			}
 		}
 	}
-	fmt.Fprintln(w, "# HELP energyd_calibration_retries_total Calibration measurement retries after transient faults.")
-	fmt.Fprintln(w, "# TYPE energyd_calibration_retries_total counter")
-	for _, n := range nodes {
-		if cal := n.Cal(); cal != nil {
-			deviceLine("energyd_calibration_retries_total", n.ID, cal.Coverage.Retried)
-		}
-	}
-	fmt.Fprintln(w, "# HELP energyd_calibration_quarantined_total Calibration samples quarantined after permanent faults.")
-	fmt.Fprintln(w, "# TYPE energyd_calibration_quarantined_total counter")
-	for _, n := range nodes {
-		if cal := n.Cal(); cal != nil {
-			deviceLine("energyd_calibration_quarantined_total", n.ID, len(cal.Coverage.Quarantined))
-		}
-	}
-	fmt.Fprintln(w, "# HELP energyd_calibration_screened_outliers_total Calibration samples excluded from the fit by the robust outlier screen.")
-	fmt.Fprintln(w, "# TYPE energyd_calibration_screened_outliers_total counter")
-	for _, n := range nodes {
-		if cal := n.Cal(); cal != nil {
-			deviceLine("energyd_calibration_screened_outliers_total", n.ID, cal.Coverage.ScreenedOutliers)
-		}
+	// Calibration metrics skip a runtime add still calibrating: it has
+	// no coverage to report yet.
+	perCal := func(name, typ, help string, value func(c experiments.Coverage) any) {
+		perDevice(name, typ, help, func(n *fleet.Node) any {
+			if cal := n.Cal(); cal != nil {
+				return value(cal.Coverage)
+			}
+			return nil
+		})
 	}
 
-	if !s.legacy {
-		fmt.Fprintln(w, "# HELP energyd_fleet_devices Devices in the serving fleet.")
-		fmt.Fprintln(w, "# TYPE energyd_fleet_devices gauge")
-		fmt.Fprintf(w, "energyd_fleet_devices %d\n", s.reg.Len())
-		fmt.Fprintln(w, "# HELP energyd_fleet_epoch Registry membership generation; moves on every add, remove, and state change.")
-		fmt.Fprintln(w, "# TYPE energyd_fleet_epoch counter")
-		fmt.Fprintf(w, "energyd_fleet_epoch %d\n", s.reg.Epoch())
-		fmt.Fprintln(w, "# HELP energyd_device_inflight_requests Requests currently holding each device.")
-		fmt.Fprintln(w, "# TYPE energyd_device_inflight_requests gauge")
-		for _, n := range nodes {
-			deviceLine("energyd_device_inflight_requests", n.ID, n.Load())
-		}
-		fmt.Fprintln(w, "# HELP energyd_device_state Membership lifecycle state (0=active, 1=calibrating, 2=draining, 3=drained, 4=quarantined, 5=probing, 6=removed).")
-		fmt.Fprintln(w, "# TYPE energyd_device_state gauge")
-		for _, n := range nodes {
-			deviceLine("energyd_device_state", n.ID, int(n.State()))
-		}
-		fmt.Fprintln(w, "# HELP energyd_device_cal_generation Calibration generation: 1 from boot, +1 per drift recalibration.")
-		fmt.Fprintln(w, "# TYPE energyd_device_cal_generation counter")
-		for _, n := range nodes {
-			deviceLine("energyd_device_cal_generation", n.ID, n.CalGeneration())
-		}
-		fmt.Fprintln(w, "# HELP energyd_device_quarantines_total Times the health loop has quarantined each device.")
-		fmt.Fprintln(w, "# TYPE energyd_device_quarantines_total counter")
-		for _, n := range nodes {
-			deviceLine("energyd_device_quarantines_total", n.ID, n.Quarantines())
-		}
-		fmt.Fprintln(w, "# HELP energyd_device_recalibrations_total Completed drift recalibrations per device.")
-		fmt.Fprintln(w, "# TYPE energyd_device_recalibrations_total counter")
-		for _, n := range nodes {
-			deviceLine("energyd_device_recalibrations_total", n.ID, n.Recalibrations())
-		}
+	perDevice("energyd_breaker_state", "gauge", "Sweep circuit breaker state (0=closed, 1=half-open, 2=open).",
+		func(n *fleet.Node) any { state, _ := n.Breaker.Snapshot(); return int(state) })
+	perDevice("energyd_breaker_opens_total", "counter", "Times the sweep breaker has opened.",
+		func(n *fleet.Node) any { _, opens := n.Breaker.Snapshot(); return opens })
+	perCal("energyd_calibration_coverage_fraction", "gauge", "Fraction of calibration samples measured (1 = complete).",
+		func(c experiments.Coverage) any { return c.Fraction() })
+	perCal("energyd_calibration_retries_total", "counter", "Calibration measurement retries after transient faults.",
+		func(c experiments.Coverage) any { return c.Retried })
+	perCal("energyd_calibration_quarantined_total", "counter", "Calibration samples quarantined after permanent faults.",
+		func(c experiments.Coverage) any { return len(c.Quarantined) })
+	perCal("energyd_calibration_screened_outliers_total", "counter", "Calibration samples excluded from the fit by the robust outlier screen.",
+		func(c experiments.Coverage) any { return c.ScreenedOutliers })
+	if s.legacy {
+		return
 	}
+	fmt.Fprintln(w, "# HELP energyd_fleet_devices Devices in the serving fleet.")
+	fmt.Fprintln(w, "# TYPE energyd_fleet_devices gauge")
+	fmt.Fprintf(w, "energyd_fleet_devices %d\n", s.reg.Len())
+	fmt.Fprintln(w, "# HELP energyd_fleet_epoch Registry membership generation; moves on every add, remove, and state change.")
+	fmt.Fprintln(w, "# TYPE energyd_fleet_epoch counter")
+	fmt.Fprintf(w, "energyd_fleet_epoch %d\n", s.reg.Epoch())
+	perDevice("energyd_device_inflight_requests", "gauge", "Requests currently holding each device.",
+		func(n *fleet.Node) any { return n.Load() })
+	perDevice("energyd_device_state", "gauge", "Membership lifecycle state (0=active, 1=calibrating, 2=draining, 3=drained, 4=quarantined, 5=probing, 6=removed).",
+		func(n *fleet.Node) any { return int(n.State()) })
+	perDevice("energyd_device_cal_generation", "counter", "Calibration generation: 1 from boot, +1 per drift recalibration.",
+		func(n *fleet.Node) any { return n.CalGeneration() })
+	perDevice("energyd_device_quarantines_total", "counter", "Times the health loop has quarantined each device.",
+		func(n *fleet.Node) any { return n.Quarantines() })
+	perDevice("energyd_device_recalibrations_total", "counter", "Completed drift recalibrations per device.",
+		func(n *fleet.Node) any { return n.Recalibrations() })
 }
 
 // resolveSetting maps the request's setting selector onto the board's

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
+
+	"dvfsroofline/internal/fleet"
 )
 
 // metrics is a hand-rolled Prometheus registry: the daemon exposes the
@@ -79,32 +83,24 @@ func (m *metrics) addInflight(d int) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) cacheHit(dev string) {
+// charge books one device's sweep outcome under one lock: a hit (plus
+// the degraded counter for a stale serve) or a miss, and for a fresh
+// sweep the measured energy it burned integrating its candidates.
+func (m *metrics) charge(dev string, out fleet.SweepOutcome, sweepJ float64) {
 	m.mu.Lock()
-	m.hits[dev]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) cacheMiss(dev string) {
-	m.mu.Lock()
-	m.misses[dev]++
-	m.mu.Unlock()
-}
-
-// degradedHit records one autotune request answered from stale cache
-// while the device's circuit breaker was open.
-func (m *metrics) degradedHit(dev string) {
-	m.mu.Lock()
-	m.degraded[dev]++
-	m.mu.Unlock()
-}
-
-// addSweepJoules charges one device's ledger with the measured energy a
-// fresh sweep burned integrating its candidates.
-func (m *metrics) addSweepJoules(dev string, j float64) {
-	m.mu.Lock()
-	m.sweepJ[dev] += j
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	switch out {
+	case fleet.SweepDegraded:
+		m.degraded[dev]++
+		m.hits[dev]++
+	case fleet.SweepCached:
+		m.hits[dev]++
+	case fleet.SweepFresh:
+		m.sweepJ[dev] += sweepJ
+		m.misses[dev]++
+	case fleet.SweepFailed:
+		m.misses[dev]++
+	}
 }
 
 // addAnsweredJoules credits one device's ledger with the energy of a
@@ -133,36 +129,16 @@ func (m *metrics) snapshot() countersSnapshot {
 	defer m.mu.Unlock()
 	s := countersSnapshot{
 		endpoints: make(map[string]map[int]uint64, len(m.endpoints)),
-		hits:      copyCounter(m.hits),
-		misses:    copyCounter(m.misses),
-		degraded:  copyCounter(m.degraded),
-		sweepJ:    copyLedger(m.sweepJ),
-		answeredJ: copyLedger(m.answeredJ),
+		hits:      maps.Clone(m.hits),
+		misses:    maps.Clone(m.misses),
+		degraded:  maps.Clone(m.degraded),
+		sweepJ:    maps.Clone(m.sweepJ),
+		answeredJ: maps.Clone(m.answeredJ),
 	}
 	for ep, e := range m.endpoints {
-		codes := make(map[int]uint64, len(e.codes))
-		for c, n := range e.codes {
-			codes[c] = n
-		}
-		s.endpoints[ep] = codes
+		s.endpoints[ep] = maps.Clone(e.codes)
 	}
 	return s
-}
-
-func copyCounter(c map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
-func copyLedger(c map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
 }
 
 // cacheCounts returns the fleet-wide cache counters (exposed for tests).
@@ -170,14 +146,6 @@ func (m *metrics) cacheCounts() (hits, misses uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return sumCounter(m.hits), sumCounter(m.misses)
-}
-
-// degradedCount returns the fleet-wide degraded-serving counter
-// (exposed for tests).
-func (m *metrics) degradedCount() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sumCounter(m.degraded)
 }
 
 func sumCounter(c map[string]uint64) uint64 {
@@ -196,21 +164,17 @@ func (m *metrics) writeText(w io.Writer) {
 
 	fmt.Fprintln(w, "# HELP energyd_requests_total Completed HTTP requests by endpoint and status code.")
 	fmt.Fprintln(w, "# TYPE energyd_requests_total counter")
-	for _, ep := range sortedKeys(m.endpoints) {
+	eps := sortedKeys(m.endpoints)
+	for _, ep := range eps {
 		e := m.endpoints[ep]
-		codes := make([]int, 0, len(e.codes))
-		for c := range e.codes {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
+		for _, c := range sortedKeys(e.codes) {
 			fmt.Fprintf(w, "energyd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, e.codes[c])
 		}
 	}
 
 	fmt.Fprintln(w, "# HELP energyd_request_duration_seconds Request latency by endpoint.")
 	fmt.Fprintln(w, "# TYPE energyd_request_duration_seconds histogram")
-	for _, ep := range sortedKeys(m.endpoints) {
+	for _, ep := range eps {
 		e := m.endpoints[ep]
 		for i, le := range latencyBuckets {
 			fmt.Fprintf(w, "energyd_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
@@ -227,15 +191,10 @@ func (m *metrics) writeText(w io.Writer) {
 		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
 		fmt.Fprintf(w, "# TYPE %s counter\n", name)
 		fmt.Fprintf(w, "%s %d\n", name, sumCounter(c))
-		devs := make([]string, 0, len(c))
-		for d := range c {
+		for _, d := range sortedKeys(c) {
 			if d != "" {
-				devs = append(devs, d)
+				fmt.Fprintf(w, "%s{device=%q} %d\n", name, d, c[d])
 			}
-		}
-		sort.Strings(devs)
-		for _, d := range devs {
-			fmt.Fprintf(w, "%s{device=%q} %d\n", name, d, c[d])
 		}
 	}
 	counter("energyd_autotune_cache_hits_total",
@@ -250,11 +209,11 @@ func (m *metrics) writeText(w io.Writer) {
 	fmt.Fprintf(w, "energyd_inflight_requests %d\n", m.inflight)
 }
 
-func sortedKeys(m map[string]*endpointMetrics) []string {
-	out := make([]string, 0, len(m))
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
-		out = append(out, k)
+		keys = append(keys, k)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(keys)
+	return keys
 }

@@ -52,7 +52,6 @@ import (
 	"net/http"
 	"time"
 
-	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/experiments"
 	"dvfsroofline/internal/fleet"
 	"dvfsroofline/internal/tegra"
@@ -151,45 +150,28 @@ type Server struct {
 // every response and metric line is byte-identical to the pre-fleet
 // daemon.
 func New(dev *tegra.Device, cal *experiments.Calibration, cfg experiments.Config, opts Options) *Server {
-	opts = opts.withDefaults()
-	calGrid := make([]dvfs.Setting, 0, 16)
-	for _, cs := range dvfs.CalibrationSettings() {
-		calGrid = append(calGrid, cs.Setting)
-	}
-	grids := map[string][]dvfs.Setting{
-		// "calibration": the paper's 16 measured settings (§II-E
-		// autotunes among configurations with measurements).
-		// "full": all 105 core x memory permutations.
-		"calibration": calGrid,
-		"full":        dvfs.Grid(),
-	}
-	node := fleet.NewNode("", dev, cal, cfg, grids, opts.NodeOptions())
-	reg, err := fleet.NewRegistry([]*fleet.Node{node}, 0)
+	// The zero spec has no DVFS bounds: "calibration" is the paper's 16
+	// measured settings, "full" all 105 permutations.
+	grids, err := fleet.Spec{}.Grids()
 	if err != nil {
-		// Unreachable: one node, no duplicate IDs.
-		panic(err)
+		panic(err) // unreachable: an unbounded spec never empties a grid
 	}
-	return &Server{
-		reg:     reg,
-		legacy:  true,
-		metrics: newMetrics(),
-		timeout: opts.SweepTimeout,
-		clock:   opts.Clock,
-		// Membership admin stays off in legacy mode: the one node is the
-		// whole deployment, and its reserved empty ID is not addressable.
-		drainDeadline: opts.DrainDeadline,
-		drift:         opts.Drift,
-		recal:         opts.Recalibrate,
-		syncRecal:     opts.SyncRecalibrate,
+	reg, err := fleet.NewRegistry([]*fleet.Node{fleet.NewNode("", dev, cal, cfg, grids, opts.NodeOptions())}, 0)
+	if err != nil {
+		panic(err) // unreachable: one node, no duplicate IDs
 	}
+	return NewFleet(reg, opts)
 }
 
-// NewFleet builds a multi-device server over an assembled registry
-// (see fleet.Build).
+// NewFleet builds a server over an assembled registry (see
+// fleet.Build). A registry whose only member carries the reserved empty
+// ID is single-device mode.
 func NewFleet(reg *fleet.Registry, opts Options) *Server {
 	opts = opts.withDefaults()
+	nodes := reg.Nodes()
 	return &Server{
 		reg:           reg,
+		legacy:        len(nodes) == 1 && nodes[0].ID == "",
 		metrics:       newMetrics(),
 		timeout:       opts.SweepTimeout,
 		clock:         opts.Clock,
