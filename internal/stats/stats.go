@@ -137,16 +137,20 @@ func Holdout(mask []bool) Fold {
 	return f
 }
 
-// RNG is a deterministic random source for experiments. It is a thin
-// wrapper over math/rand kept behind our own type so the substitution for
-// hardware noise is easy to audit and to seed per-experiment.
+// RNG is a deterministic random source for experiments, kept behind our
+// own type so the substitution for hardware noise is easy to audit and to
+// seed per-experiment. Its streams are math/rand's: NewRNG(seed) draws
+// exactly what rand.New(rand.NewSource(seed)) would. That is a
+// compatibility contract — every golden file and every EXPERIMENTS.md
+// number depends on it — but the source seeds its lag table lazily, so a
+// short-lived generator pays only for the entries it reads.
 type RNG struct {
 	r *rand.Rand
 }
 
 // NewRNG returns an RNG seeded deterministically.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	return &RNG{r: rand.New(newLazySource(seed))}
 }
 
 // Float64 returns a uniform value in [0,1).
