@@ -63,18 +63,18 @@ func identicalFleet(t *testing.T, n int) *serve.Server {
 
 // heterogeneousFleet builds the 3-device fleet from specs through the
 // production path (fleet.Build + synthetic calibrations).
-func heterogeneousFleet(t *testing.T, workers int) *serve.Server {
+func heterogeneousFleet(t *testing.T, workers int, opts serve.Options) *serve.Server {
 	t.Helper()
 	fc := fleet.FleetConfig{Seed: 42, Devices: []fleet.Spec{
 		{ID: "tk1-reference"},
 		{ID: "tk1-binned-hot", Params: fleet.ParamsJSON{LeakProcWpV: 3.55, MiscW: 0.32}},
 		{ID: "tk1-lowpower-sku", Params: fleet.ParamsJSON{SPpJ: 22.1, DRAMpJ: 318.5}, MaxCoreMHz: 612},
 	}}
-	reg, err := fleet.Build(fc, experiments.Config{Seed: 42, Workers: workers}, nil, fleet.NodeOptions{})
+	reg, err := fleet.Build(fc, experiments.Config{Seed: 42, Workers: workers}, nil, opts.NodeOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serve.NewFleet(reg, serve.Options{})
+	return serve.NewFleet(reg, opts)
 }
 
 // TestIdenticalFleetMatchesSingleDevice is the degenerate-fleet
@@ -153,8 +153,8 @@ func TestIdenticalFleetMatchesSingleDevice(t *testing.T) {
 func TestFleetPlaceDeterministic(t *testing.T) {
 	body := `{"profile": {"dp_fma": 2e8, "int": 1e8, "dram_words": 5e7}, "occupancy": 0.9}`
 
-	h1 := heterogeneousFleet(t, 1).Handler()
-	h8 := heterogeneousFleet(t, 8).Handler()
+	h1 := heterogeneousFleet(t, 1, serve.Options{}).Handler()
+	h8 := heterogeneousFleet(t, 8, serve.Options{}).Handler()
 
 	w1 := post(t, h1, "/v1/fleet/place", body)
 	if w1.Code != http.StatusOK {
@@ -167,7 +167,7 @@ func TestFleetPlaceDeterministic(t *testing.T) {
 	// Warm one device's cache through /v1/autotune first, so the second
 	// server answers the same placement from a mix of cached and fresh
 	// sweeps — the bytes must not care.
-	hWarm := heterogeneousFleet(t, 2).Handler()
+	hWarm := heterogeneousFleet(t, 2, serve.Options{}).Handler()
 	if w := post(t, hWarm, "/v1/autotune", body); w.Code != http.StatusOK {
 		t.Fatalf("warm autotune = %d: %s", w.Code, w.Body)
 	}
@@ -309,7 +309,7 @@ func TestFleetAutotuneFailover(t *testing.T) {
 
 // TestFleetEndpoints covers the inventory and pinned-device surfaces.
 func TestFleetEndpoints(t *testing.T) {
-	s := heterogeneousFleet(t, 2)
+	s := heterogeneousFleet(t, 2, serve.Options{})
 	h := s.Handler()
 
 	w := get(t, h, "/v1/fleet/devices")
