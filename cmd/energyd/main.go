@@ -111,7 +111,7 @@ func main() {
 			}
 		}
 		s = serve.NewFleet(reg, opts)
-		log.Printf("fleet ready: %d devices (admin=%v, drift=%v)", reg.Len(), *admin, *driftThreshold > 0)
+		log.Printf("fleet ready: %d devices (admin=%v, drift=%v)", len(reg.Nodes()), *admin, *driftThreshold > 0)
 		if *healthInterval > 0 {
 			health := fleet.NewHealth(reg, fleet.HealthConfig{
 				QuarantineAfter: *quarantineAfter,

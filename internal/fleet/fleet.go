@@ -160,12 +160,12 @@ func (n *Node) Acquire() func() {
 func (n *Node) Load() int64 { return n.inflight.Load() }
 
 // Registry is the fleet's routing table with live membership. Readers
-// (Route, RouteHealthy, LeastLoaded, Nodes, Get) load one immutable
-// epoch'd snapshot — the member list, the ID index, and a
-// consistent-hash ring built over the active members only — so a walk
-// in flight keeps its coherent view while a writer swaps in the next
-// epoch. Writers (Add, SetState, Drain, Evict) serialize on a mutex,
-// rebuild the snapshot, and publish it atomically.
+// (Route, RouteHealthy, LeastLoaded, Members, Nodes, Get) load one
+// immutable epoch'd snapshot — the members and their states, the ID
+// index, and a consistent-hash ring over the active members only — so a
+// walk in flight keeps its coherent view while a writer swaps in the
+// next epoch. Writers (Add, SetState, Drain, Evict) serialize on a
+// mutex, rebuild the snapshot, and publish it atomically.
 type Registry struct {
 	mu       sync.Mutex
 	replicas int
@@ -176,7 +176,8 @@ type Registry struct {
 // registryView is one immutable membership snapshot.
 type registryView struct {
 	epoch  uint64
-	nodes  []*Node // every member, sorted by ID
+	nodes  []*Node     // every member, sorted by ID
+	states []NodeState // states[i] is nodes[i]'s state as this epoch published it
 	byID   map[string]*Node
 	active []*Node // ring index -> node; active members only, sorted
 	ring   *ring   // consistent-hash ring over active
@@ -217,14 +218,18 @@ func (r *Registry) rebuildLocked() {
 		epoch = old.epoch + 1
 	}
 	v := &registryView{
-		epoch: epoch,
-		nodes: r.members,
-		byID:  make(map[string]*Node, len(r.members)),
+		epoch:  epoch,
+		nodes:  r.members,
+		states: make([]NodeState, len(r.members)),
+		byID:   make(map[string]*Node, len(r.members)),
 	}
 	ids := make([]string, 0, len(r.members))
-	for _, n := range r.members {
+	for i, n := range r.members {
 		v.byID[n.ID] = n
-		if n.State() == StateActive {
+		// Every writer stores a node's new state before it publishes,
+		// so the recorded state is exactly this epoch's.
+		v.states[i] = n.State()
+		if v.states[i] == StateActive {
 			v.active = append(v.active, n)
 			ids = append(ids, n.ID)
 		}
@@ -233,13 +238,17 @@ func (r *Registry) rebuildLocked() {
 	r.view.Store(v)
 }
 
-// Epoch returns the current snapshot's generation: it advances by one
-// on every membership or state change, and is exported on /v1/stats and
-// /metrics so operators can correlate routing shifts with fleet events.
-func (r *Registry) Epoch() uint64 { return r.view.Load().epoch }
-
-// Len returns the fleet size, every lifecycle state included.
-func (r *Registry) Len() int { return len(r.view.Load().nodes) }
+// Members returns the current epoch, its members sorted by ID and the
+// lifecycle state each had when that epoch was published (states[i]
+// belongs to nodes[i]), all from one view: a member's live State() may
+// already belong to the next epoch. The epoch advances by one on every
+// membership or state change; /v1/stats and /metrics export it so
+// operators can correlate routing shifts with fleet events. Callers
+// must not mutate the slices.
+func (r *Registry) Members() (epoch uint64, nodes []*Node, states []NodeState) {
+	v := r.view.Load()
+	return v.epoch, v.nodes, v.states
+}
 
 // Nodes returns every member sorted by ID, regardless of state.
 // Callers must not mutate the slice.

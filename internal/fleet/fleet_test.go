@@ -242,8 +242,8 @@ func TestLeastLoadedTieBreaksByID(t *testing.T) {
 
 func TestBuildValidatesAndWiresNodes(t *testing.T) {
 	reg := buildTestFleet(t)
-	if reg.Len() != 3 {
-		t.Fatalf("fleet size %d, want 3", reg.Len())
+	if len(reg.Nodes()) != 3 {
+		t.Fatalf("fleet size %d, want 3", len(reg.Nodes()))
 	}
 	ids := []string{"tk1-a", "tk1-hot", "tk1-lowpower"}
 	for i, n := range reg.Nodes() {

@@ -38,11 +38,11 @@ func TestLifecycleTransitionsValidated(t *testing.T) {
 			t.Errorf("active -> %s accepted; want rejection", bad)
 		}
 	}
-	epoch := reg.Epoch()
+	epoch := reg.view.Load().epoch
 	if err := reg.SetState(id, StateQuarantined); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Epoch() == epoch {
+	if reg.view.Load().epoch == epoch {
 		t.Error("quarantine did not publish a new epoch")
 	}
 	n, _ := reg.Get(id)
@@ -81,7 +81,7 @@ func TestLifecycleTransitionsValidated(t *testing.T) {
 
 func TestAddCalibratingThenActivate(t *testing.T) {
 	reg := buildTestFleet(t)
-	epoch := reg.Epoch()
+	epoch := reg.view.Load().epoch
 
 	n, err := (&Admin{FleetSeed: 42}).BuildNode(Spec{ID: "tk1-new"})
 	if err != nil {
@@ -94,11 +94,11 @@ func TestAddCalibratingThenActivate(t *testing.T) {
 	if err := reg.Add(n, StateCalibrating); err != nil {
 		t.Fatal(err)
 	}
-	if reg.Epoch() == epoch {
+	if reg.view.Load().epoch == epoch {
 		t.Error("Add did not publish a new epoch")
 	}
-	if reg.Len() != 4 || len(reg.Active()) != 3 {
-		t.Fatalf("len=%d active=%d, want 4/3", reg.Len(), len(reg.Active()))
+	if len(reg.Nodes()) != 4 || len(reg.Active()) != 3 {
+		t.Fatalf("len=%d active=%d, want 4/3", len(reg.Nodes()), len(reg.Active()))
 	}
 	if err := reg.SetState("tk1-new", StateActive); err == nil {
 		t.Fatal("activation without a calibration accepted")
@@ -186,8 +186,8 @@ func TestEvictSettlesCacheWaitersAndFreesLRU(t *testing.T) {
 	if _, ok := reg.Get("tk1-hot"); ok {
 		t.Error("evicted device still resolvable")
 	}
-	if reg.Len() != 2 {
-		t.Errorf("len=%d after evict, want 2", reg.Len())
+	if len(reg.Nodes()) != 2 {
+		t.Errorf("len=%d after evict, want 2", len(reg.Nodes()))
 	}
 	if err := reg.Evict("tk1-hot"); err == nil {
 		t.Error("double evict accepted")
@@ -261,8 +261,8 @@ func TestDrainAllIdlesFleet(t *testing.T) {
 		t.Fatalf("%d devices still active after DrainAll", len(reg.Active()))
 	}
 	// Members stay for inventory until process exit.
-	if reg.Len() != 3 {
-		t.Fatalf("DrainAll removed members: len=%d", reg.Len())
+	if len(reg.Nodes()) != 3 {
+		t.Fatalf("DrainAll removed members: len=%d", len(reg.Nodes()))
 	}
 	if reg.Route("any") != nil || reg.LeastLoaded() != nil {
 		t.Error("drained fleet still routes")
@@ -304,7 +304,7 @@ func TestRegistryChurnUnderRace(t *testing.T) {
 					t.Error("LeastLoaded returned nil with actives present")
 					return
 				}
-				reg.Epoch()
+				reg.Members()
 				reg.Active()
 			}
 		}(i)
@@ -329,8 +329,8 @@ func TestRegistryChurnUnderRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if reg.Len() != 3 || len(reg.Active()) != 3 {
-		t.Fatalf("churn left len=%d active=%d, want 3/3", reg.Len(), len(reg.Active()))
+	if len(reg.Nodes()) != 3 || len(reg.Active()) != 3 {
+		t.Fatalf("churn left len=%d active=%d, want 3/3", len(reg.Nodes()), len(reg.Active()))
 	}
 }
 

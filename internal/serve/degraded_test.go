@@ -131,8 +131,8 @@ func TestAutotuneOnRemovedDevice(t *testing.T) {
 	if state, _ := n.Breaker.Snapshot(); state != fleet.BreakerClosed {
 		t.Errorf("breaker %v after removed-device sweeps, want closed", state)
 	}
-	if hits, misses := s.metrics.cacheCounts(); hits != 0 || misses != 0 {
-		t.Errorf("cache counters %d hits / %d misses, want 0/0", hits, misses)
+	if c := s.snapshot().counts; sumCounter(c.hits) != 0 || sumCounter(c.misses) != 0 {
+		t.Errorf("cache counters %v hits / %v misses, want 0/0", c.hits, c.misses)
 	}
 }
 

@@ -243,42 +243,15 @@ type DevicesResponse struct {
 func (s *Server) handleFleetDevices(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		s.handleFleetDevicesList(w, r)
+		snap := s.snapshot()
+		resp := DevicesResponse{Epoch: snap.epoch, States: snap.states, Devices: make([]DeviceInfo, len(snap.devices))}
+		for i := range snap.devices {
+			resp.Devices[i] = snap.devices[i].DeviceInfo
+		}
+		writeJSON(w, http.StatusOK, resp)
 	case http.MethodPost:
 		s.handleFleetDeviceAdd(w, r)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "GET or POST only")
 	}
-}
-
-func (s *Server) handleFleetDevicesList(w http.ResponseWriter, r *http.Request) {
-	resp := DevicesResponse{
-		Epoch:   s.reg.Epoch(),
-		States:  make(map[string]int),
-		Devices: make([]DeviceInfo, 0, s.reg.Len()),
-	}
-	for _, n := range s.reg.Nodes() {
-		state, _ := n.Breaker.Snapshot()
-		grids := make(map[string]int, len(n.Grids))
-		for name, g := range n.Grids {
-			grids[name] = len(g)
-		}
-		samples, coverage := calStats(n)
-		resp.States[n.State().String()]++
-		resp.Devices = append(resp.Devices, DeviceInfo{
-			DeviceID:       n.ID,
-			Seed:           n.Cfg.Seed,
-			State:          n.State().String(),
-			Breaker:        state.String(),
-			CalGeneration:  n.CalGeneration(),
-			Recalibrations: n.Recalibrations(),
-			Quarantines:    n.Quarantines(),
-			Samples:        samples,
-			Coverage:       coverage,
-			CacheEntries:   n.Cache.Len(),
-			Inflight:       n.Load(),
-			Grids:          grids,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

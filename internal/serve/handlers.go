@@ -511,28 +511,31 @@ func (s *Server) handleCalibration(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	if node.Cal() == nil {
+	// One load of the calibration pointer: a drift recalibration swapping
+	// it mid-render must not mix two generations' constants in one body.
+	cal := node.Cal()
+	if cal == nil {
 		writeErrorDev(w, http.StatusServiceUnavailable, fmt.Sprintf("device %q is still calibrating", node.ID), node.ID)
 		return
 	}
 	markDevice(w, node.ID)
-	m := node.Cal().Model
+	m := cal.Model
 	resp := CalibrationResponse{
 		DeviceID: node.ID,
-		Samples:  len(node.Cal().Samples),
+		Samples:  len(cal.Samples),
 		Model: ModelJSON{
 			SPpJ: m.SPpJ, DPpJ: m.DPpJ, IntpJ: m.IntpJ, SMpJ: m.SMpJ,
 			L2pJ: m.L2pJ, DRAMpJ: m.DRAMpJ,
 			C1Proc: m.C1Proc, C1Mem: m.C1Mem, PMisc: m.PMisc,
 		},
-		Holdout: cvSummary(node.Cal().Holdout),
-		KFold:   cvSummary(node.Cal().KFold),
+		Holdout: cvSummary(cal.Holdout),
+		KFold:   cvSummary(cal.KFold),
 		Grids:   map[string]int{},
 	}
 	for name, grid := range node.Grids {
 		resp.Grids[name] = len(grid)
 	}
-	for _, row := range node.Cal().TableI() {
+	for _, row := range cal.TableI() {
 		resp.TableI = append(resp.TableI, TableIRow{
 			Type: row.Type, Setting: settingInfo(row.Setting),
 			SPpJ: row.Eps.SP, DPpJ: row.Eps.DP, IntpJ: row.Eps.Int,
@@ -550,164 +553,6 @@ func cvSummary(r core.CVResult) CVSummaryJSON {
 		Mean: units.Percent(p.Mean), Stddev: units.Percent(p.Stddev),
 		Min: units.Percent(p.Min), Max: units.Percent(p.Max),
 	}
-}
-
-// handleHealthz is liveness only: the process is up and holds
-// calibrations. It stays 200 in degraded mode so orchestrators do not
-// restart a daemon that is usefully serving stale answers.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	samples := 0
-	for _, n := range s.reg.Nodes() {
-		count, _ := calStats(n)
-		samples += count
-	}
-	body := map[string]any{"status": "ok", "samples": samples}
-	if !s.legacy {
-		body["devices"] = s.reg.Len()
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// calStats returns a node's calibration sample count and coverage, both
-// zero while a runtime add is still calibrating.
-func calStats(n *fleet.Node) (samples int, coverage units.Ratio) {
-	if cal := n.Cal(); cal != nil {
-		return len(cal.Samples), units.Ratio(cal.Coverage.Fraction())
-	}
-	return 0, 0
-}
-
-// handleReadyz is readiness. Legacy mode keeps its historic contract:
-// 503 while the single device's breaker is open. Fleet mode reports
-// per-state device counts and fails readiness only when zero devices
-// are active — a fleet with one healthy member out of fifty is still a
-// fleet worth routing to, and open breakers alone mean degraded cached
-// serving, not unreadiness.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.legacy {
-		node := s.reg.Nodes()[0]
-		state, _ := node.Breaker.Snapshot()
-		code := http.StatusOK
-		status := "ready"
-		if state == fleet.BreakerOpen {
-			code = http.StatusServiceUnavailable
-			status = "degraded"
-		}
-		writeJSON(w, code, map[string]any{
-			"status":   status,
-			"breaker":  state.String(),
-			"samples":  len(node.Cal().Samples),
-			"coverage": node.Cal().Coverage.Fraction(),
-		})
-		return
-	}
-	open := 0
-	states := make(map[string]int)
-	devices := make([]deviceReadiness, 0, s.reg.Len())
-	for _, n := range s.reg.Nodes() {
-		state, _ := n.Breaker.Snapshot()
-		if state == fleet.BreakerOpen {
-			open++
-		}
-		samples, coverage := calStats(n)
-		states[n.State().String()]++
-		devices = append(devices, deviceReadiness{
-			DeviceID: n.ID,
-			State:    n.State().String(),
-			Breaker:  state.String(),
-			Samples:  samples,
-			Coverage: coverage,
-		})
-	}
-	active := len(s.reg.Active())
-	code := http.StatusOK
-	status := "ready"
-	if active == 0 {
-		code = http.StatusServiceUnavailable
-		status = "no-active-devices"
-	}
-	writeJSON(w, code, map[string]any{
-		"status":  status,
-		"epoch":   s.reg.Epoch(),
-		"active":  active,
-		"open":    open,
-		"states":  states,
-		"devices": devices,
-	})
-}
-
-// deviceReadiness is one device's row in the fleet /readyz body.
-type deviceReadiness struct {
-	DeviceID string      `json:"device_id"`
-	State    string      `json:"state"`
-	Breaker  string      `json:"breaker"`
-	Samples  int         `json:"samples"`
-	Coverage units.Ratio `json:"coverage"`
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writeText(w)
-
-	// perDevice prints one metric family with a line per node; value
-	// returns nil to skip a node. The legacy node's empty ID prints the
-	// historic unlabeled line, so single-device scrape output is
-	// byte-identical.
-	nodes := s.reg.Nodes()
-	perDevice := func(name, typ, help string, value func(n *fleet.Node) any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, n := range nodes {
-			switch v := value(n); {
-			case v == nil:
-			case n.ID == "":
-				fmt.Fprintf(w, "%s %v\n", name, v)
-			default:
-				fmt.Fprintf(w, "%s{device=%q} %v\n", name, n.ID, v)
-			}
-		}
-	}
-	// Calibration metrics skip a runtime add still calibrating: it has
-	// no coverage to report yet.
-	perCal := func(name, typ, help string, value func(c experiments.Coverage) any) {
-		perDevice(name, typ, help, func(n *fleet.Node) any {
-			if cal := n.Cal(); cal != nil {
-				return value(cal.Coverage)
-			}
-			return nil
-		})
-	}
-
-	perDevice("energyd_breaker_state", "gauge", "Sweep circuit breaker state (0=closed, 1=half-open, 2=open).",
-		func(n *fleet.Node) any { state, _ := n.Breaker.Snapshot(); return int(state) })
-	perDevice("energyd_breaker_opens_total", "counter", "Times the sweep breaker has opened.",
-		func(n *fleet.Node) any { _, opens := n.Breaker.Snapshot(); return opens })
-	perCal("energyd_calibration_coverage_fraction", "gauge", "Fraction of calibration samples measured (1 = complete).",
-		func(c experiments.Coverage) any { return c.Fraction() })
-	perCal("energyd_calibration_retries_total", "counter", "Calibration measurement retries after transient faults.",
-		func(c experiments.Coverage) any { return c.Retried })
-	perCal("energyd_calibration_quarantined_total", "counter", "Calibration samples quarantined after permanent faults.",
-		func(c experiments.Coverage) any { return len(c.Quarantined) })
-	perCal("energyd_calibration_screened_outliers_total", "counter", "Calibration samples excluded from the fit by the robust outlier screen.",
-		func(c experiments.Coverage) any { return c.ScreenedOutliers })
-	if s.legacy {
-		return
-	}
-	fmt.Fprintln(w, "# HELP energyd_fleet_devices Devices in the serving fleet.")
-	fmt.Fprintln(w, "# TYPE energyd_fleet_devices gauge")
-	fmt.Fprintf(w, "energyd_fleet_devices %d\n", s.reg.Len())
-	fmt.Fprintln(w, "# HELP energyd_fleet_epoch Registry membership generation; moves on every add, remove, and state change.")
-	fmt.Fprintln(w, "# TYPE energyd_fleet_epoch counter")
-	fmt.Fprintf(w, "energyd_fleet_epoch %d\n", s.reg.Epoch())
-	perDevice("energyd_device_inflight_requests", "gauge", "Requests currently holding each device.",
-		func(n *fleet.Node) any { return n.Load() })
-	perDevice("energyd_device_state", "gauge", "Membership lifecycle state (0=active, 1=calibrating, 2=draining, 3=drained, 4=quarantined, 5=probing, 6=removed).",
-		func(n *fleet.Node) any { return int(n.State()) })
-	perDevice("energyd_device_cal_generation", "counter", "Calibration generation: 1 from boot, +1 per drift recalibration.",
-		func(n *fleet.Node) any { return n.CalGeneration() })
-	perDevice("energyd_device_quarantines_total", "counter", "Times the health loop has quarantined each device.",
-		func(n *fleet.Node) any { return n.Quarantines() })
-	perDevice("energyd_device_recalibrations_total", "counter", "Completed drift recalibrations per device.",
-		func(n *fleet.Node) any { return n.Recalibrations() })
 }
 
 // resolveSetting maps the request's setting selector onto the board's

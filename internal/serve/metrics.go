@@ -2,8 +2,6 @@ package serve
 
 import (
 	"cmp"
-	"fmt"
-	"io"
 	"maps"
 	"slices"
 	"sync"
@@ -111,24 +109,24 @@ func (m *metrics) addAnsweredJoules(dev string, j float64) {
 	m.mu.Unlock()
 }
 
-// countersSnapshot is a deep copy of the registry's counter maps, taken
-// under one lock acquisition so the numbers are mutually consistent.
+// countersSnapshot is a deep copy of every metric, taken under one
+// acquisition of mu so the numbers are mutually consistent; the read
+// endpoints render it after the lock is released.
 type countersSnapshot struct {
-	endpoints map[string]map[int]uint64 // endpoint -> status code -> count
-	hits      map[string]uint64
-	misses    map[string]uint64
-	degraded  map[string]uint64
-	sweepJ    map[string]float64
-	answeredJ map[string]float64
+	endpoints              map[string]endpointMetrics
+	inflight               int
+	hits, misses, degraded map[string]uint64
+	sweepJ, answeredJ      map[string]float64
 }
 
-// snapshot copies every counter for the /v1/stats endpoint (and the
-// load-harness report built on it).
+// snapshot copies every counter for the read endpoints (see
+// Server.snapshot).
 func (m *metrics) snapshot() countersSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := countersSnapshot{
-		endpoints: make(map[string]map[int]uint64, len(m.endpoints)),
+	c := countersSnapshot{
+		endpoints: make(map[string]endpointMetrics, len(m.endpoints)),
+		inflight:  m.inflight,
 		hits:      maps.Clone(m.hits),
 		misses:    maps.Clone(m.misses),
 		degraded:  maps.Clone(m.degraded),
@@ -136,16 +134,9 @@ func (m *metrics) snapshot() countersSnapshot {
 		answeredJ: maps.Clone(m.answeredJ),
 	}
 	for ep, e := range m.endpoints {
-		s.endpoints[ep] = maps.Clone(e.codes)
+		c.endpoints[ep] = endpointMetrics{codes: maps.Clone(e.codes), buckets: slices.Clone(e.buckets), sum: e.sum, count: e.count}
 	}
-	return s
-}
-
-// cacheCounts returns the fleet-wide cache counters (exposed for tests).
-func (m *metrics) cacheCounts() (hits, misses uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return sumCounter(m.hits), sumCounter(m.misses)
+	return c
 }
 
 func sumCounter(c map[string]uint64) uint64 {
@@ -154,59 +145,6 @@ func sumCounter(c map[string]uint64) uint64 {
 		total += v
 	}
 	return total
-}
-
-// writeText renders the registry in the Prometheus text format, with
-// deterministic ordering so the output is diffable.
-func (m *metrics) writeText(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP energyd_requests_total Completed HTTP requests by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE energyd_requests_total counter")
-	eps := sortedKeys(m.endpoints)
-	for _, ep := range eps {
-		e := m.endpoints[ep]
-		for _, c := range sortedKeys(e.codes) {
-			fmt.Fprintf(w, "energyd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, e.codes[c])
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP energyd_request_duration_seconds Request latency by endpoint.")
-	fmt.Fprintln(w, "# TYPE energyd_request_duration_seconds histogram")
-	for _, ep := range eps {
-		e := m.endpoints[ep]
-		for i, le := range latencyBuckets {
-			fmt.Fprintf(w, "energyd_request_duration_seconds_bucket{endpoint=%q,le=%q} %d\n",
-				ep, fmt.Sprintf("%g", le), e.buckets[i])
-		}
-		fmt.Fprintf(w, "energyd_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, e.count)
-		fmt.Fprintf(w, "energyd_request_duration_seconds_sum{endpoint=%q} %g\n", ep, e.sum)
-		fmt.Fprintf(w, "energyd_request_duration_seconds_count{endpoint=%q} %d\n", ep, e.count)
-	}
-
-	// Cache counters: the fleet-wide total first (the pre-fleet line, so
-	// single-device scrapes are byte-identical), then per named device.
-	counter := func(name, help string, c map[string]uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-		fmt.Fprintf(w, "# TYPE %s counter\n", name)
-		fmt.Fprintf(w, "%s %d\n", name, sumCounter(c))
-		for _, d := range sortedKeys(c) {
-			if d != "" {
-				fmt.Fprintf(w, "%s{device=%q} %d\n", name, d, c[d])
-			}
-		}
-	}
-	counter("energyd_autotune_cache_hits_total",
-		"Autotune requests answered from the sweep cache (including joined in-flight sweeps).", m.hits)
-	counter("energyd_autotune_cache_misses_total",
-		"Autotune requests that ran a fresh sweep.", m.misses)
-	counter("energyd_autotune_degraded_total",
-		"Autotune requests served stale from cache while the breaker was open.", m.degraded)
-
-	fmt.Fprintln(w, "# HELP energyd_inflight_requests Requests currently being served.")
-	fmt.Fprintln(w, "# TYPE energyd_inflight_requests gauge")
-	fmt.Fprintf(w, "energyd_inflight_requests %d\n", m.inflight)
 }
 
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {

@@ -232,8 +232,8 @@ func TestAutotunePicksAndCache(t *testing.T) {
 		t.Errorf("cached answer differs: %+v vs %+v", first, second)
 	}
 
-	hits, misses := s.metrics.cacheCounts()
-	if hits != 1 || misses != 1 {
+	counts := s.snapshot().counts
+	if hits, misses := counts.hits[""], counts.misses[""]; hits != 1 || misses != 1 {
 		t.Errorf("cache hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 	if !strings.Contains(getPath(t, h, "/metrics").Body.String(), "energyd_autotune_cache_hits_total 1") {
@@ -261,7 +261,8 @@ func TestAutotuneSingleflight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, misses := s.metrics.cacheCounts()
+	counts := s.snapshot().counts
+	hits, misses := counts.hits[""], counts.misses[""]
 	if misses != 1 {
 		t.Errorf("misses = %d, want exactly 1 executed sweep", misses)
 	}

@@ -59,38 +59,30 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	snap := s.metrics.snapshot()
+	snap := s.snapshot()
+	c := &snap.counts
 	resp := StatsResponse{
-		Epoch:     s.reg.Epoch(),
-		States:    make(map[string]int),
-		Devices:   make([]DeviceStats, 0, s.reg.Len()),
-		Endpoints: make(map[string]EndpointStats, len(snap.endpoints)),
+		Epoch:     snap.epoch,
+		States:    snap.states,
+		Devices:   make([]DeviceStats, len(snap.devices)),
+		Endpoints: make(map[string]EndpointStats, len(c.endpoints)),
 	}
-	// Every registry node gets a row, zero counters included, so a
-	// report can always find the device it routed to. Nodes() is sorted
-	// by ID, which keeps the array order deterministic.
-	for _, n := range s.reg.Nodes() {
-		state, opens := n.Breaker.Snapshot()
-		resp.States[n.State().String()]++
-		resp.Devices = append(resp.Devices, DeviceStats{
-			DeviceID:       n.ID,
-			State:          n.State().String(),
-			Breaker:        state.String(),
-			BreakerOpens:   opens,
-			CalGeneration:  n.CalGeneration(),
-			Recalibrations: n.Recalibrations(),
-			Quarantines:    n.Quarantines(),
-			CacheHits:      snap.hits[n.ID],
-			CacheMisses:    snap.misses[n.ID],
-			DegradedServes: snap.degraded[n.ID],
-			SweepJ:         units.Joule(snap.sweepJ[n.ID]),
-			AnsweredJ:      units.Joule(snap.answeredJ[n.ID]),
-			Inflight:       n.Load(),
-		})
+	// Every member gets a row, zero counters included, so a report can
+	// always find the device it routed to; members sort by ID, which
+	// keeps the array order deterministic.
+	for i := range snap.devices {
+		d := &snap.devices[i]
+		resp.Devices[i] = DeviceStats{
+			DeviceID: d.DeviceID, State: d.State, Breaker: d.Breaker, BreakerOpens: d.opens,
+			CalGeneration: d.CalGeneration, Recalibrations: d.Recalibrations, Quarantines: d.Quarantines,
+			CacheHits: c.hits[d.DeviceID], CacheMisses: c.misses[d.DeviceID], DegradedServes: c.degraded[d.DeviceID],
+			SweepJ: units.Joule(c.sweepJ[d.DeviceID]), AnsweredJ: units.Joule(c.answeredJ[d.DeviceID]),
+			Inflight: d.Inflight,
+		}
 	}
-	for ep, codes := range snap.endpoints {
-		e := EndpointStats{ByCode: make(map[string]uint64, len(codes))}
-		for code, count := range codes {
+	for ep, m := range c.endpoints {
+		e := EndpointStats{ByCode: make(map[string]uint64, len(m.codes))}
+		for code, count := range m.codes {
 			e.ByCode[fmt.Sprintf("%d", code)] = count
 			e.Requests += count
 		}
