@@ -154,7 +154,6 @@ func RunAll(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Allowdecl,
-		Atomicfield,
 		Ctxloop,
 		Determinism,
 		Errwrap,

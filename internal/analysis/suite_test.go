@@ -54,7 +54,3 @@ func TestHotalloc(t *testing.T) {
 func TestGoleak(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Goleak, "goleakpkg")
 }
-
-func TestAtomicfield(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Atomicfield, "atomicpkg")
-}
