@@ -1,9 +1,7 @@
-// Package cli factors out the scaffolding every cmd/* binary used to
-// duplicate: the uniform flag set (-seed, -workers, -csv, -cache),
-// logger and device construction, the calibration cache on top of
-// internal/export, tabwriter setup, and fatal-error plumbing. Keeping it
-// here means a new experiment command is a main() of table-printing
-// code and nothing else.
+// Package cli factors out the scaffolding the cmd/* binaries share: the
+// uniform flag set (-seed, -workers, -csv, -cache, -faults,
+// -min-coverage), logger and device construction, the calibration cache
+// on top of internal/export, and fatal-error plumbing.
 package cli
 
 import (
@@ -11,12 +9,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"io/fs"
 	"log"
 	"os"
-	"path/filepath"
-	"text/tabwriter"
 
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/experiments"
@@ -171,7 +166,7 @@ func (a *App) Calibrate(ctx context.Context, dev *tegra.Device) (*experiments.Ca
 }
 
 // LoadCalibration reads a calibration sample CSV (as written by
-// export.WriteSamples, the -csv flag of fitmodel, or a previous -cache
+// export.WriteSamples, the -csv flag of cmd/paper, or a previous -cache
 // run) and rebuilds the full calibration from it.
 func LoadCalibration(path string) (*experiments.Calibration, error) {
 	f, err := os.Open(path)
@@ -197,33 +192,4 @@ func SaveSamples(path string, samples []core.Sample) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Table returns a tabwriter on stdout with the formatting every command
-// table uses; pass tabwriter.AlignRight for numeric tables or 0 for
-// left-aligned ones.
-func Table(flags uint) *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', flags)
-}
-
-// WriteArtifact writes one CSV artifact into the -csv directory and logs
-// the path; it is a no-op when the flag is unset.
-func (a *App) WriteArtifact(name string, fn func(io.Writer) error) error {
-	if a.CSVDir == "" {
-		return nil
-	}
-	path := filepath.Join(a.CSVDir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
 }
