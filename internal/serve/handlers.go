@@ -136,13 +136,16 @@ func (s *Server) predictOn(n *fleet.Node, req PredictRequest) (PredictResponse, 
 		//energylint:allow hotalloc(client-error exit, not the per-request success path)
 		return PredictResponse{}, fmt.Errorf("negative time_s %g", t)
 	}
-	parts := n.Cal().Model.PredictParts(prof, setting, t)
+	// One load: a recalibration between two loads would answer parts
+	// and constant power from different generations.
+	model := n.Cal().Model
+	parts := model.PredictParts(prof, setting, t)
 	return PredictResponse{
 		Setting:     settingInfo(setting),
 		TimeS:       t,
 		PredictedJ:  parts.Total(),
 		Parts:       partsJSON(parts),
-		ConstPowerW: n.Cal().Model.ConstPower(setting),
+		ConstPowerW: model.ConstPower(setting),
 	}, nil
 }
 

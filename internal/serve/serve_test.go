@@ -188,6 +188,76 @@ func TestConcurrentPredicts(t *testing.T) {
 	}
 }
 
+// A recalibration swaps a node's calibration under live traffic. Every
+// predict body must be one calibration's full answer — parts and
+// const_power_w from the same constants — never a mix of two.
+func TestPredictUnderRecalibrationIsOneGeneration(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	n := node0(s)
+	calA := n.Cal()
+	calB := *calA
+	modelB := *calA.Model
+	modelB.PMisc += 0.5
+	calB.Model = &modelB
+
+	const body = `{"profile": {"dp_fma": 1e9, "dram_words": 2e8}, "setting_id": "S1", "time_s": 0.5}`
+	answer := func(cal *experiments.Calibration) string {
+		n.SetCalibration(cal)
+		w := postJSON(t, h, "/v1/predict", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("predict = %d: %s", w.Code, w.Body)
+		}
+		return w.Body.String()
+	}
+	wantA, wantB := answer(calA), answer(&calB)
+	if wantA == wantB {
+		t.Fatal("the two calibrations give the same answer")
+	}
+
+	stop := make(chan struct{})
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				n.SetCalibration(calA)
+			} else {
+				n.SetCalibration(&calB)
+			}
+		}
+	}()
+	const posters, posts = 2, 2000
+	var wg sync.WaitGroup
+	var mixed sync.Map
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < posts; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body))
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, req)
+				if got := w.Body.String(); got != wantA && got != wantB {
+					mixed.Store(got, w.Code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-swapped
+	mixed.Range(func(got, code any) bool {
+		t.Errorf("status %d body mixes two calibrations:\n%s\nwant one of\n%s\n%s", code, got, wantA, wantB)
+		return false
+	})
+}
+
 func TestAutotunePicksAndCache(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
