@@ -62,12 +62,6 @@ func HoldoutValidate(samples []Sample, trainMask []bool) (CVResult, error) {
 	return validateFolds(samples, []stats.Fold{stats.Holdout(trainMask)})
 }
 
-// CrossValidate performs k-fold cross-validation with a deterministic
-// shuffle (§II-D uses k = 16).
-func CrossValidate(samples []Sample, k int, seed int64) (CVResult, error) {
-	return validateFolds(samples, stats.KFold(len(samples), k, seed))
-}
-
 // CrossValidateGrouped performs leave-one-group-out cross-validation:
 // groups[i] assigns sample i to a group (e.g. its DVFS setting), and each
 // fold holds one whole group out. With one group per calibration setting
