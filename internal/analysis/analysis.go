@@ -162,7 +162,6 @@ func All() []*Analyzer {
 		Lockguard,
 		Lockorder,
 		Seedflow,
-		Unitdoc,
 		Unittypes,
 	}
 }

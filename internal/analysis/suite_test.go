@@ -27,10 +27,6 @@ func TestErrwrap(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Errwrap, "errpkg")
 }
 
-func TestUnitdoc(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Unitdoc, "tegra", "ungated")
-}
-
 func TestUnittypes(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Unittypes, "powermon", "ungated")
 }

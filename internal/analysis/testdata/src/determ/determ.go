@@ -1,6 +1,6 @@
 // Package determ exercises the determinism analyzer's wall-clock and
 // global-rand rules, which apply in every package, and shows that the
-// map-range and unitdoc rules stay silent outside their gated packages.
+// map-range rule stays silent outside its gated packages.
 package determ
 
 import (

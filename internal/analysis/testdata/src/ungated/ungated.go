@@ -1,10 +1,10 @@
 // Package ungated carries no expectation comments at all: every rule
-// that is gated by package name (unitdoc, unittypes, the map-order
-// sub-rule of determinism) must stay completely silent here.
+// that is gated by package name (unittypes, the map-order sub-rule of
+// determinism) must stay completely silent here.
 package ungated
 
-// Quantity has an exported float64 with no unit suffix; unitdoc is
-// gated to tegra/core/serve, unittypes to core/tegra/serve/powermon/dvfs.
+// Quantity has an exported raw float64; unittypes is gated to
+// core/tegra/serve/fleet/powermon/dvfs.
 type Quantity struct {
 	Amount float64
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // unitTypePkgs are the packages whose exported API must speak in the
@@ -9,12 +10,9 @@ import (
 // They are the packages where a number *is* a physical quantity: the
 // device model (tegra), the Eq. 9 energy model (core), the energyd wire
 // types (serve), the fleet device specs (fleet), the power-meter
-// simulation (powermon) and the frequency/voltage tables (dvfs). This
-// is a superset of unitPkgs
-// (unitdoc's gate): unitdoc's name-a-unit-in-the-name convention is the
-// deprecated predecessor of this rule, and inside unitTypePkgs it is
-// subsumed — a units.Joule field needs no "…J" suffix because the type
-// system already says more than the suffix ever did.
+// simulation (powermon) and the frequency/voltage tables (dvfs). A
+// units.Joule field needs no "…J" suffix: the type system already says
+// more than a suffix could.
 var unitTypePkgs = map[string]bool{
 	"core": true, "tegra": true, "serve": true, "fleet": true, "powermon": true, "dvfs": true,
 }
@@ -193,4 +191,14 @@ func rawFloat64In(pass *Pass, e ast.Expr) ast.Expr {
 		return rawFloat64In(pass, t.X)
 	}
 	return nil
+}
+
+// isFloat64Expr reports whether e's type is the basic float64.
+func isFloat64Expr(pass *Pass, e ast.Expr) bool {
+	t := pass.Info.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	b, ok := t.(*types.Basic)
+	return ok && b.Kind() == types.Float64
 }
