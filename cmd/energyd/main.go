@@ -1,5 +1,5 @@
 // Command energyd serves the DVFS-aware energy model over HTTP. Where
-// the other cmd/* binaries recalibrate per process, energyd calibrates
+// cmd/paper recalibrates per process, energyd calibrates
 // once at startup — or loads a -cache sample CSV and skips the
 // measurement campaign entirely — and then answers prediction and
 // autotuning queries until terminated:
