@@ -33,7 +33,6 @@ import (
 	"dvfsroofline/internal/experiments"
 	"dvfsroofline/internal/fleet"
 	"dvfsroofline/internal/fmm"
-	"dvfsroofline/internal/fmm2d"
 	"dvfsroofline/internal/linalg"
 	"dvfsroofline/internal/microbench"
 	"dvfsroofline/internal/nnls"
@@ -428,47 +427,6 @@ func BenchmarkMicrobenchSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkFMM2D runs the paper's §III-A quadtree variant on a
-// non-uniform disk, dense vs FFT M2L.
-func BenchmarkFMM2D(b *testing.B) {
-	pts := fmm2d.GeneratePoints(fmm2d.Disk, 20000, 42)
-	dens := fmm2d.GenerateDensities(20000, 43)
-	for _, cfg := range []struct {
-		name string
-		fft  bool
-	}{{"Dense", false}, {"FFT", true}} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := fmm2d.Evaluate(pts, dens, fmm2d.Options{Q: 40, UseFFTM2L: cfg.fft}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGradients measures the incremental cost of force evaluation
-// over potentials alone.
-func BenchmarkGradients(b *testing.B) {
-	pts := fmm.GeneratePoints(fmm.Plummer, 16384, 42)
-	dens := fmm.GenerateDensities(16384, 43)
-	b.Run("PotentialOnly", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fmm.Evaluate(pts, dens, fmm.Options{Q: 64}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("WithForces", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := fmm.EvaluateGrad(pts, dens, fmm.Options{Q: 64}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkRoofline evaluates the energy-roofline curves (refs [2,3]).
 func BenchmarkRoofline(b *testing.B) {
 	_, cal := getCalibration(b)
@@ -615,17 +573,4 @@ func BenchmarkFleetMembershipChurn(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	<-done
-}
-
-// BenchmarkM2LBatched completes the M2L ablation: per-pair matvec vs
-// offset-batched GEMM vs FFT (see BenchmarkM2LDense / BenchmarkM2LFFT).
-func BenchmarkM2LBatched(b *testing.B) {
-	pts := fmm.GeneratePoints(fmm.Uniform, 16384, 42)
-	dens := fmm.GenerateDensities(16384, 43)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fmm.Evaluate(pts, dens, fmm.Options{Q: 64, UseBatchedM2L: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -19,13 +19,12 @@ type Options struct {
 	// edge; accuracy grows with it. Default 4 (56 surface points).
 	SurfaceOrder int
 	// UseFFTM2L selects the FFT-accelerated V-list translation, the
-	// variant the paper's GPU implementation uses. Dense M2L is the
-	// default (it is faster at the default surface order).
+	// variant the paper's GPU implementation uses. Dense M2L stays the
+	// default because the counted V-phase profile differs by path
+	// (TestCountPhasesVDenseVsFFT) and workload.profilePool evaluates
+	// with zero Options: flipping the default would rewrite every
+	// generated trace and the soak goldens.
 	UseFFTM2L bool
-	// UseBatchedM2L groups dense V-list translations by offset and
-	// applies each operator as one matrix-matrix product — the layout
-	// production KIFMM codes use. Ignored when UseFFTM2L is set.
-	UseBatchedM2L bool
 	// MaxLevel bounds tree depth. Default 20.
 	MaxLevel int
 	// Workers bounds evaluation parallelism. Default GOMAXPROCS.
@@ -135,8 +134,6 @@ func (e *engine) runTreePasses() {
 	switch {
 	case e.opt.UseFFTM2L:
 		e.vPhaseFFT()
-	case e.opt.UseBatchedM2L:
-		e.vPhaseDenseBatched()
 	default:
 		e.vPhaseDense()
 	}

@@ -101,19 +101,29 @@ func TestSmallNDegeneratesToDirect(t *testing.T) {
 func TestEvaluateDeterministic(t *testing.T) {
 	pts := GeneratePoints(Plummer, 1500, 10)
 	dens := GenerateDensities(1500, 11)
-	a, err := Evaluate(pts, dens, Options{Q: 25, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Evaluate(pts, dens, Options{Q: 25, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Potentials {
-		if a.Potentials[i] != b.Potentials[i] {
-			t.Fatalf("potential %d differs across worker counts: %v vs %v",
-				i, a.Potentials[i], b.Potentials[i])
-		}
+	for _, tc := range []struct {
+		name string
+		fft  bool
+	}{{"dense", false}, {"fft", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Evaluate(pts, dens, Options{Q: 25, UseFFTM2L: tc.fft, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Evaluate(pts, dens, Options{Q: 25, UseFFTM2L: tc.fft, Workers: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range a.Potentials {
+				if math.Float64bits(a.Potentials[i]) != math.Float64bits(b.Potentials[i]) {
+					t.Fatalf("potential %d differs across worker counts: %v vs %v",
+						i, a.Potentials[i], b.Potentials[i])
+				}
+			}
+			if a.Profiles != b.Profiles {
+				t.Errorf("profiles differ across worker counts:\n%+v\n%+v", a.Profiles, b.Profiles)
+			}
+		})
 	}
 }
 
@@ -199,42 +209,6 @@ func TestComplexityScalesLinearly(t *testing.T) {
 	t.Logf("4x points -> %.2fx work", ratio)
 }
 
-func TestBatchedM2LMatchesDense(t *testing.T) {
-	pts := GeneratePoints(Plummer, 3000, 121)
-	dens := GenerateDensities(3000, 122)
-	a, err := Evaluate(pts, dens, Options{Q: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Evaluate(pts, dens, Options{Q: 30, UseBatchedM2L: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The batched path performs the same multiply-adds grouped
-	// differently, so agreement is to rounding, not bitwise.
-	if d := RelErrL2(b.Potentials, a.Potentials); d > 1e-12 {
-		t.Errorf("batched M2L differs from per-pair dense by %.2e", d)
-	}
-}
-
-func TestBatchedM2LDeterministicAcrossWorkers(t *testing.T) {
-	pts := GeneratePoints(Uniform, 2000, 123)
-	dens := GenerateDensities(2000, 124)
-	a, err := Evaluate(pts, dens, Options{Q: 30, UseBatchedM2L: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Evaluate(pts, dens, Options{Q: 30, UseBatchedM2L: true, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Potentials {
-		if a.Potentials[i] != b.Potentials[i] {
-			t.Fatal("batched M2L not deterministic across worker counts")
-		}
-	}
-}
-
 func TestKernelIndependenceGaussian(t *testing.T) {
 	// A smooth, non-singular, non-homogeneous kernel: nothing about the
 	// machinery may assume a 1/r-like singularity.
@@ -256,7 +230,7 @@ func TestLargeScaleSoak(t *testing.T) {
 	const n = 100000
 	pts := GeneratePoints(Plummer, n, 131)
 	dens := GenerateDensities(n, 132)
-	res, err := Evaluate(pts, dens, Options{Q: 100, UseBatchedM2L: true})
+	res, err := Evaluate(pts, dens, Options{Q: 100, UseFFTM2L: true})
 	if err != nil {
 		t.Fatal(err)
 	}
