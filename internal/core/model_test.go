@@ -24,7 +24,7 @@ func knownModel() *Model {
 // calibrationSamples runs the microbenchmark suite (or a subset) over the
 // paper's 16 calibration settings on the given device, metering each
 // sample with the given meter config and campaign seed.
-func calibrationSamples(t *testing.T, dev *tegra.Device, meterCfg powermon.Config, seed int64, benches []microbench.Benchmark) []Sample {
+func calibrationSamples(t testing.TB, dev *tegra.Device, meterCfg powermon.Config, seed int64, benches []microbench.Benchmark) []Sample {
 	t.Helper()
 	r := &microbench.Runner{Device: dev, MeterConfig: meterCfg, Seed: seed, TargetTime: 0.1}
 	var settings []dvfs.Setting

@@ -264,12 +264,9 @@ func TestSolveRHSMismatchPanics(t *testing.T) {
 	Solve(linalg.NewMatrix(3, 2), []units.Joule{1, 2}, 0)
 }
 
-// BenchmarkNNLSSolve runs a fixed, well-conditioned Eq. 9-sized fit
-// (16 settings x 7 coefficients, the paper's calibration shape). The
-// bench gate watches allocs/op: the PR10 sweep hoisted the per-
-// iteration Aᵀ copy out of the active-set loop, and a regression here
-// means a per-iteration allocation crept back in.
-func BenchmarkNNLSSolve(b *testing.B) {
+// benchProblem is a fixed, well-conditioned Eq. 9-sized fit (16
+// settings x 7 coefficients, the paper's calibration shape).
+func benchProblem() (*linalg.Matrix, []units.Joule) {
 	rng := rand.New(rand.NewSource(7))
 	m, n := 16, 7
 	a := linalg.NewMatrix(m, n)
@@ -284,7 +281,43 @@ func BenchmarkNNLSSolve(b *testing.B) {
 	for i := range bvec {
 		bvec[i] += 0.01 * rng.NormFloat64()
 	}
-	rhs := joules(bvec)
+	return a, joules(bvec)
+}
+
+// TestSolvePinnedBits pins the exact bits of benchProblem's solution.
+// Solver refactors (buffer reuse, in-place factorization, the
+// column-wise dual) must not reorder a single floating-point operation:
+// the paper's tables are reproduced bit for bit from these fits.
+func TestSolvePinnedBits(t *testing.T) {
+	want := []uint64{
+		0x3f111e9b9b07ee54,
+		0x3fdfdb6aa245b974,
+		0x3ff00ed9ed40cb5c,
+		0x0000000000000000,
+		0x3fe022bae1e44c23,
+		0x3fefd1eb6cad6be2,
+		0x3f5d7360decfb39a,
+	}
+	a, rhs := benchProblem()
+	res, err := Solve(a, rhs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, x := range res.X {
+		if got := math.Float64bits(x); got != want[j] {
+			t.Errorf("x[%d] = %#016x (%v), want %#016x", j, got, x, want[j])
+		}
+	}
+	if got := math.Float64bits(float64(res.Residual)); got != 0x3f9585533c3613b5 {
+		t.Errorf("residual = %#016x (%v), want 0x3f9585533c3613b5", got, res.Residual)
+	}
+}
+
+// BenchmarkNNLSSolve runs benchProblem. The bench gate watches
+// allocs/op: a regression means a per-iteration allocation crept back
+// into the active-set loop.
+func BenchmarkNNLSSolve(b *testing.B) {
+	a, rhs := benchProblem()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
