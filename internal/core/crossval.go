@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"dvfsroofline/internal/stats"
 	"dvfsroofline/internal/units"
@@ -28,22 +31,40 @@ func (r CVResult) Percent() stats.Summary {
 }
 
 // validateFolds evaluates the model fit on each fold's training indices
-// against its test indices.
+// against its test indices. Folds run concurrently on up to GOMAXPROCS
+// goroutines, each claiming the next fold index and writing into that
+// fold's own slots, so the result is bit-identical at any GOMAXPROCS;
+// when several folds fail, the lowest-indexed one is reported.
 func validateFolds(samples []Sample, folds []stats.Fold) (CVResult, error) {
-	var errs []float64
+	// Fold fi's per-sample errors occupy errs[off[fi]:off[fi+1]], which
+	// keeps them in fold order however the goroutines interleave.
+	off := make([]int, len(folds)+1)
 	for fi, fold := range folds {
-		train := make([]Sample, len(fold.Train))
-		for i, idx := range fold.Train {
-			train[i] = samples[idx]
-		}
-		m, err := Fit(train)
+		off[fi+1] = off[fi] + len(fold.Test)
+	}
+	errs := make([]float64, off[len(folds)])
+	fitErrs := make([]error, len(folds))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(folds)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				fi := int(next.Add(1) - 1)
+				if fi >= len(folds) {
+					return
+				}
+				fitErrs[fi] = validateFold(samples, folds[fi], errs[off[fi]:off[fi+1]])
+			}
+		}()
+	}
+	wg.Wait()
+	for fi, err := range fitErrs {
 		if err != nil {
 			return CVResult{}, fmt.Errorf("core: fold %d: %w", fi, err)
-		}
-		for _, idx := range fold.Test {
-			s := samples[idx]
-			pred := m.Predict(s.Profile, s.Setting, s.Time)
-			errs = append(errs, stats.RelErr(float64(pred), float64(s.Energy)))
 		}
 	}
 	typed := make([]units.Ratio, len(errs))
@@ -51,6 +72,21 @@ func validateFolds(samples []Sample, folds []stats.Fold) (CVResult, error) {
 		typed[i] = units.Ratio(e)
 	}
 	return CVResult{Errors: typed, Summary: stats.Summarize(errs)}, nil
+}
+
+// validateFold fits the model on fold.Train and writes the relative
+// error of each fold.Test prediction into errs.
+func validateFold(samples []Sample, fold stats.Fold, errs []float64) error {
+	m, err := fitIndexed(samples, fold.Train)
+	if err != nil {
+		return err
+	}
+	for i, idx := range fold.Test {
+		s := samples[idx]
+		pred := m.Predict(s.Profile, s.Setting, s.Time)
+		errs[i] = stats.RelErr(float64(pred), float64(s.Energy))
+	}
+	return nil
 }
 
 // HoldoutValidate performs the paper's 2-fold "holdout method" (§II-D):

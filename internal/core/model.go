@@ -97,17 +97,29 @@ func designRow(row []float64, p counters.Profile, s dvfs.Setting, time float64) 
 // squares, exactly as §II-C prescribes. Every coefficient is a physical
 // capacitance or leakage term, so negativity is excluded by construction.
 func Fit(samples []Sample) (*Model, error) {
-	if len(samples) < numCoeffs {
+	idx := make([]int, len(samples))
+	for i := range idx {
+		idx[i] = i
+	}
+	return fitIndexed(samples, idx)
+}
+
+// fitIndexed fits the model to samples[idx[0]], samples[idx[1]], ... in
+// that order, without copying the samples out. Errors name a bad sample
+// by its index in samples.
+func fitIndexed(samples []Sample, idx []int) (*Model, error) {
+	if len(idx) < numCoeffs {
 		return nil, ErrTooFewSamples
 	}
-	a := linalg.NewMatrix(len(samples), numCoeffs)
-	b := make([]units.Joule, len(samples))
-	for i, s := range samples {
+	a := linalg.NewMatrix(len(idx), numCoeffs)
+	b := make([]units.Joule, len(idx))
+	for r, i := range idx {
+		s := samples[i]
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("sample %d: %w", i, err)
 		}
-		designRow(a.Row(i), s.Profile, s.Setting, float64(s.Time))
-		b[i] = s.Energy
+		designRow(a.Row(r), s.Profile, s.Setting, float64(s.Time))
+		b[r] = s.Energy
 	}
 	res, err := nnls.Solve(a, b, 0)
 	if err != nil {

@@ -157,6 +157,50 @@ func TestQRLeastSquaresResidualOrthogonality(t *testing.T) {
 	}
 }
 
+// TestFactorQRInPlace checks the copy contract: FactorQR and SolveLS
+// leave their inputs untouched, while FactorQRInPlace overwrites its
+// matrix and produces the same solution bit for bit.
+func TestFactorQRInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := randomMatrix(rng, 12, 4)
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	orig := a.Clone()
+	origB := append([]float64(nil), b...)
+	want, err := SolveLS(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a.Data {
+		if a.Data[i] != orig.Data[i] {
+			t.Fatalf("SolveLS modified a at %d", i)
+		}
+	}
+	for i := range b {
+		if b[i] != origB[i] {
+			t.Fatalf("SolveLS modified b at %d", i)
+		}
+	}
+	got, err := FactorQRInPlace(a).Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Errorf("x[%d] in place = %v, copying = %v", j, got[j], want[j])
+		}
+	}
+	changed := false
+	for i := range a.Data {
+		changed = changed || a.Data[i] != orig.Data[i]
+	}
+	if !changed {
+		t.Error("FactorQRInPlace left its matrix unchanged; it should hold the factorization")
+	}
+}
+
 func TestQRRankDeficient(t *testing.T) {
 	a := FromRows([][]float64{
 		{1, 2},

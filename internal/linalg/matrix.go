@@ -2,9 +2,11 @@
 // reproduction needs: matrix/vector arithmetic, Householder QR for least
 // squares (used by the NNLS solver), Cholesky factorization, a one-sided
 // Jacobi SVD, and truncated pseudo-inverses (used to build the KIFMM
-// equivalent-density operators). Matrices are row-major and sized for the
-// problem at hand — at most a few hundred rows/columns — so the
-// implementation favors clarity and numerical robustness over blocking.
+// equivalent-density operators). Matrices are row-major and small in at
+// least one dimension — a few hundred rows/columns for the KIFMM
+// operators, a couple of thousand rows by nine columns for the NNLS
+// calibration fit — so the implementation favors clarity and numerical
+// robustness over blocking.
 package linalg
 
 import "fmt"

@@ -20,15 +20,25 @@ type QR struct {
 	rdiag []float64
 }
 
-// FactorQR computes the Householder QR factorization of a. It panics if
-// a has fewer rows than columns (the least-squares use cases in this
-// repository are always overdetermined or square).
+// FactorQR computes the Householder QR factorization of a, leaving a
+// unchanged: it factors a copy. It panics if a has fewer rows than
+// columns (the least-squares use cases in this repository are always
+// overdetermined or square).
 func FactorQR(a *Matrix) *QR {
+	return FactorQRInPlace(a.Clone())
+}
+
+// FactorQRInPlace is FactorQR without the copy: it overwrites a with the
+// compact factorization, and the returned QR keeps using a's storage, so
+// a must not be modified while the QR is in use. The NNLS solver factors
+// a fresh passive-column submatrix per inner iteration and uses this to
+// skip a second m-by-n buffer.
+func FactorQRInPlace(a *Matrix) *QR {
 	if a.Rows < a.Cols {
 		panic("linalg: FactorQR requires rows >= cols")
 	}
 	m, n := a.Rows, a.Cols
-	f := &QR{qr: a.Clone(), rdiag: make([]float64, n)}
+	f := &QR{qr: a, rdiag: make([]float64, n)}
 	q := f.qr
 	for k := 0; k < n; k++ {
 		var nrm float64
@@ -82,8 +92,8 @@ func (f *QR) FullRank() bool {
 }
 
 // Solve computes the least-squares solution x of min ||A*x - b||_2 using
-// the stored factorization. b must have length A.Rows. It returns
-// ErrRankDeficient if R is numerically singular.
+// the stored factorization. b must have length A.Rows and is not
+// modified. It returns ErrRankDeficient if R is numerically singular.
 func (f *QR) Solve(b []float64) ([]float64, error) {
 	m, n := f.qr.Rows, f.qr.Cols
 	if len(b) != m {
@@ -121,7 +131,8 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 }
 
 // SolveLS is a convenience wrapper: factorize a and solve the
-// least-squares problem min ||a*x - b|| in one call.
+// least-squares problem min ||a*x - b|| in one call. Neither a nor b is
+// modified; it factors a copy of a (see FactorQRInPlace to avoid it).
 func SolveLS(a *Matrix, b []float64) ([]float64, error) {
 	return FactorQR(a).Solve(b)
 }

@@ -49,13 +49,12 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 	for i, v := range rhs {
 		b[i] = float64(v)
 	}
-	// Aᵀ is used once per outer iteration for the dual vector; Matrix.T
-	// copies the whole matrix, so build it once up front.
-	at := a.T()
+	w := make([]float64, n) // dual vector Aᵀr, reused each iteration
 	if tol <= 0 {
 		// Standard choice: a small multiple of machine epsilon scaled by
 		// the problem size and the magnitude of Aᵀb.
-		tol = 10 * 2.220446049250313e-16 * float64(m*n) * maxAbs(at.MulVec(b))
+		dual(w, a, b)
+		tol = 10 * 2.220446049250313e-16 * float64(m*n) * maxAbs(w)
 		if tol == 0 {
 			tol = 1e-12
 		}
@@ -73,8 +72,8 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 	// guard; bans are cleared on every real step.
 	banned := make([]bool, n)
 	resid := append([]float64(nil), b...) // b - A*x, x = 0 initially
-	w := make([]float64, n)               // dual vector, reused each iteration
 	ax := make([]float64, m)              // A*x scratch, reused each iteration
+	sub := make([]float64, m*n)           // passive-column submatrix scratch, reused each iteration
 
 	maxIter := 3 * n
 	if maxIter < 30 {
@@ -83,7 +82,7 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 	iters := 0
 	for {
 		// Dual vector w = Aᵀ(b - A*x).
-		at.MulVecTo(w, resid)
+		dual(w, a, resid)
 
 		// Find the most violated constraint among active (clamped) vars.
 		t := -1
@@ -105,7 +104,7 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 				return nil, ErrMaxIterations
 			}
 			// Solve the unconstrained LS problem on the passive set.
-			z, err := solvePassive(a, b, passive)
+			z, err := solvePassive(a, b, passive, sub)
 			if err != nil {
 				// Numerically dependent column: drop the variable we just
 				// admitted and continue with the rest. x is unchanged, so
@@ -176,9 +175,25 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 	}, nil
 }
 
+// dual computes w = Aᵀr column by column from the row-major a, without
+// materializing Aᵀ. Each entry sums over the rows in order, the same
+// operations, in the same order, as a row of Aᵀ times r.
+func dual(w []float64, a *linalg.Matrix, r []float64) {
+	n := a.Cols
+	for j := range w {
+		var s float64
+		for i, ri := range r {
+			s += a.Data[i*n+j] * ri
+		}
+		w[j] = s
+	}
+}
+
 // solvePassive solves the least-squares problem restricted to the passive
 // columns, returning a full-length vector with zeros in active positions.
-func solvePassive(a *linalg.Matrix, b []float64, passive []bool) ([]float64, error) {
+// scratch, at least a.Rows*a.Cols long, holds the passive-column
+// submatrix, which the QR factorization then overwrites.
+func solvePassive(a *linalg.Matrix, b []float64, passive []bool, scratch []float64) ([]float64, error) {
 	cols := make([]int, 0, len(passive))
 	for j, p := range passive {
 		if p {
@@ -188,13 +203,13 @@ func solvePassive(a *linalg.Matrix, b []float64, passive []bool) ([]float64, err
 	if len(cols) == 0 {
 		return make([]float64, len(passive)), nil
 	}
-	sub := linalg.NewMatrix(a.Rows, len(cols))
+	sub := &linalg.Matrix{Rows: a.Rows, Cols: len(cols), Data: scratch[:a.Rows*len(cols)]}
 	for i := 0; i < a.Rows; i++ {
 		for jj, j := range cols {
 			sub.Set(i, jj, a.At(i, j))
 		}
 	}
-	zsub, err := linalg.SolveLS(sub, b)
+	zsub, err := linalg.FactorQRInPlace(sub).Solve(b)
 	if err != nil {
 		return nil, err
 	}
