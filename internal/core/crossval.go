@@ -1,11 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"dvfsroofline/internal/par"
 	"dvfsroofline/internal/stats"
 	"dvfsroofline/internal/units"
 )
@@ -31,10 +30,10 @@ func (r CVResult) Percent() stats.Summary {
 }
 
 // validateFolds evaluates the model fit on each fold's training indices
-// against its test indices. Folds run concurrently on up to GOMAXPROCS
-// goroutines, each claiming the next fold index and writing into that
-// fold's own slots, so the result is bit-identical at any GOMAXPROCS;
-// when several folds fail, the lowest-indexed one is reported.
+// against its test indices. Folds run through par.For on up to
+// GOMAXPROCS goroutines, each fold writing into its own slots, so the
+// result is bit-identical at any GOMAXPROCS; when several folds fail,
+// the lowest-indexed one is reported.
 func validateFolds(samples []Sample, folds []stats.Fold) (CVResult, error) {
 	// Fold fi's per-sample errors occupy errs[off[fi]:off[fi+1]], which
 	// keeps them in fold order however the goroutines interleave.
@@ -43,29 +42,14 @@ func validateFolds(samples []Sample, folds []stats.Fold) (CVResult, error) {
 		off[fi+1] = off[fi] + len(fold.Test)
 	}
 	errs := make([]float64, off[len(folds)])
-	fitErrs := make([]error, len(folds))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := min(runtime.GOMAXPROCS(0), len(folds)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				fi := int(next.Add(1) - 1)
-				if fi >= len(folds) {
-					return
-				}
-				fitErrs[fi] = validateFold(samples, folds[fi], errs[off[fi]:off[fi+1]])
-			}
-		}()
-	}
-	wg.Wait()
-	for fi, err := range fitErrs {
-		if err != nil {
-			return CVResult{}, fmt.Errorf("core: fold %d: %w", fi, err)
+	err := par.For(context.TODO(), 0, len(folds), func(fi int) error {
+		if err := validateFold(samples, folds[fi], errs[off[fi]:off[fi+1]]); err != nil {
+			return fmt.Errorf("core: fold %d: %w", fi, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return CVResult{}, err
 	}
 	typed := make([]units.Ratio, len(errs))
 	for i, e := range errs {

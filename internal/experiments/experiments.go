@@ -24,8 +24,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/counters"
@@ -192,25 +190,20 @@ func Calibrate(ctx context.Context, dev *tegra.Device, cfg Config) (*Calibration
 	benches := microbench.Suite()
 	samples := make([]core.Sample, len(calSettings)*len(benches))
 	valid := make([]bool, len(samples))
-	var (
-		mu          sync.Mutex // guards retried and quarantined
-		retried     int
-		quarantined []Quarantined
-	)
+	// Each sample's attempt count and permanent failure sit in its own
+	// slot, so the coverage report is collected in grid order below.
+	attempts := make([]int, len(samples))
+	failures := make([]error, len(samples))
 	err := forEach(ctx, cfg, "calibrate", len(samples), func(i int) error {
 		s := calSettings[i/len(benches)].Setting
 		b := benches[i%len(benches)]
 		var smp microbench.Sample
-		attempts, runErr := faults.Do(ctx, cfg.Retry, func(attempt int) error {
+		var runErr error
+		attempts[i], runErr = faults.Do(ctx, cfg.Retry, func(attempt int) error {
 			var err error
 			smp, err = runner.RunAttempt(b, s, attempt)
 			return err
 		})
-		if attempts > 1 {
-			mu.Lock()
-			retried += attempts - 1
-			mu.Unlock()
-		}
 		if runErr != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -218,11 +211,7 @@ func Calibrate(ctx context.Context, dev *tegra.Device, cfg Config) (*Calibration
 			if minCov >= 1 {
 				return runErr // fail-fast mode: first permanent failure aborts
 			}
-			mu.Lock()
-			quarantined = append(quarantined, Quarantined{
-				Index: i, Bench: b, Setting: s, Attempts: attempts, Err: runErr,
-			})
-			mu.Unlock()
+			failures[i] = runErr
 			return nil
 		}
 		samples[i] = core.Sample{
@@ -237,9 +226,19 @@ func Calibrate(ctx context.Context, dev *tegra.Device, cfg Config) (*Calibration
 	if err != nil {
 		return nil, err
 	}
-	// Workers append quarantine entries in completion order; sort by grid
-	// index so the report is identical for every worker count.
-	sort.Slice(quarantined, func(a, b int) bool { return quarantined[a].Index < quarantined[b].Index })
+	var (
+		retried     int
+		quarantined []Quarantined
+	)
+	for i, n := range attempts {
+		retried += n - 1
+		if failures[i] != nil {
+			quarantined = append(quarantined, Quarantined{
+				Index: i, Bench: benches[i%len(benches)], Setting: calSettings[i/len(benches)].Setting,
+				Attempts: n, Err: failures[i],
+			})
+		}
+	}
 	cov := Coverage{
 		Total:       len(samples),
 		Measured:    len(samples) - len(quarantined),

@@ -2,34 +2,27 @@ package experiments
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
+	"dvfsroofline/internal/par"
 	"dvfsroofline/internal/stats"
 )
 
 // This file is the experiment layer's concurrency substrate. Every
 // pipelined experiment (Calibrate, Autotune, Figure5, RunFMMInputs,
-// TuneQ) fans its independent units of work out over a bounded worker
-// pool and writes results into pre-indexed slots, so the outcome is
-// byte-identical for any worker count. Randomness stays deterministic
-// because every unit derives its own seed from the unit's identity
-// (deriveSeed, microbench.SampleSeed) rather than from a shared stream.
+// TuneQ, the sweeps) fans its independent units of work out through
+// forEach, a progress-reporting wrapper around par.For, and writes
+// results into pre-indexed slots, so the outcome is byte-identical for
+// any worker count; par.For's lowest-index rule makes a failing run's
+// error identical too. Randomness stays deterministic because every
+// unit derives its own seed from the unit's identity (deriveSeed,
+// microbench.SampleSeed) rather than from a shared stream.
 
 // Progress is one pipeline progress update.
 type Progress struct {
 	Stage string // e.g. "calibrate", "autotune", "fmm", "figure5", "tuneq"
 	Done  int    // units completed so far
 	Total int    // total units in this stage
-}
-
-// workers resolves the configured parallelism: zero or negative selects
-// GOMAXPROCS.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // progress invokes the OnProgress callback, if any. Callers serialize
@@ -40,82 +33,26 @@ func (c Config) progress(stage string, done, total int) {
 	}
 }
 
-// forEach runs n indexed tasks on a worker pool bounded by cfg.Workers.
-// It honors ctx cancellation, stops scheduling new tasks after the first
-// error, and reports completions through cfg.OnProgress (serialized).
-// Tasks must be independent and write only to their own result slot;
-// forEach guarantees every started task has returned before it does.
+// forEach runs n indexed tasks through par.For, bounded by cfg.Workers,
+// and reports completions through cfg.OnProgress (serialized). Tasks
+// must be independent and write only to their own result slot. A
+// failing run returns the lowest-index task error, so the error — like
+// the results — is the same at any worker count.
 func forEach(ctx context.Context, cfg Config, stage string, n int, task func(i int) error) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	workers := cfg.workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := task(i); err != nil {
-				return err
-			}
-			cfg.progress(stage, i+1, n)
-		}
-		return nil
-	}
-
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards firstErr, done, and OnProgress calls
-		firstErr error
-		done     int
+		mu   sync.Mutex // serializes OnProgress calls
+		done int        // guarded by mu
 	)
-	idx := make(chan int)
-	go func() {
-		defer close(idx)
-		for i := 0; i < n; i++ {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				return
-			}
+	return par.For(ctx, cfg.Workers, n, func(i int) error {
+		if err := task(i); err != nil {
+			return err
 		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					return
-				}
-				if err := task(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-						cancel()
-					}
-					mu.Unlock()
-					return
-				}
-				mu.Lock()
-				done++
-				cfg.progress(stage, done, n)
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return parent.Err()
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		cfg.progress(stage, done, n)
+		return nil
+	})
 }
 
 // deriveSeed mixes a base seed with stream indices (FNV-1a over the bit

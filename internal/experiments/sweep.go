@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/dvfs"
@@ -172,7 +171,6 @@ func SweepTargets(ctx context.Context, pool Config, w tegra.Workload, targets []
 			work = append(work, unit{target: ti, point: gi})
 		}
 	}
-	var mu sync.Mutex
 	err := forEach(ctx, pool, "fleetsweep", len(work), func(i int) error {
 		u := work[i]
 		t := targets[u.target]
@@ -183,9 +181,7 @@ func SweepTargets(ctx context.Context, pool Config, w tegra.Workload, targets []
 				// reserved for genuine measurement failures.
 				return err
 			}
-			mu.Lock()
 			errs[u.target][u.point] = err
-			mu.Unlock()
 			return nil
 		}
 		out[u.target].Candidates[u.point] = c

@@ -3,10 +3,12 @@ package experiments
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/dvfs"
+	"dvfsroofline/internal/faults"
 	"dvfsroofline/internal/tegra"
 )
 
@@ -111,5 +113,58 @@ func TestSweepWorkloadShortRunRepetition(t *testing.T) {
 	}
 	if rel > 0.12 {
 		t.Errorf("repeated short run measured %g J vs true %g J (rel %g)", cands[0].MeasuredEnergy, truth, rel)
+	}
+}
+
+// TestSweepErrorIndependentOfWorkers pins the error a failing fan-out
+// returns: the lowest-index unit's failure, the one a serial loop
+// reports, at every worker count and GOMAXPROCS. The fault plan fails
+// about half the measurements and forbids retries, so several units
+// fail in one run and a first-in-time error would vary between runs.
+func TestSweepErrorIndependentOfWorkers(t *testing.T) {
+	dev, cal := calibrate(t)
+	cfg := Config{
+		Seed:   42,
+		Faults: faults.Plan{Seed: 1, MeterDisconnect: 0.5},
+		Retry:  faults.Retry{MaxAttempts: 1},
+	}
+	tests := []struct {
+		name string
+		run  func(cfg Config) error
+		want string
+	}{
+		{
+			name: "SweepWorkload",
+			run: func(cfg Config) error {
+				_, err := SweepWorkload(context.Background(), dev, cfg, sweepWorkload(), sweepGrid())
+				return err
+			},
+			want: "experiments: sweep at core=852MHz@1030mV mem=924MHz@1010mV: powermon: transient: power meter disconnected",
+		},
+		{
+			name: "Autotune",
+			run: func(cfg Config) error {
+				_, err := Autotune(context.Background(), dev, cal.Model, cfg)
+				return err
+			},
+			want: "microbench: measuring {Single 0.25} at core=852MHz@1030mV mem=924MHz@1010mV: powermon: transient: power meter disconnected",
+		},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range tests {
+		for _, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			for _, workers := range []int{1, 2, 8} {
+				cfg := cfg
+				cfg.Workers = workers
+				for run := 0; run < 200; run++ {
+					err := tc.run(cfg)
+					if err == nil || err.Error() != tc.want {
+						t.Fatalf("%s at GOMAXPROCS %d, %d workers, run %d: err = %v, want %q",
+							tc.name, procs, workers, run, err, tc.want)
+					}
+				}
+			}
+		}
 	}
 }

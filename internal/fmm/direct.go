@@ -1,9 +1,11 @@
 package fmm
 
 import (
+	"context"
 	"math"
 	"runtime"
-	"sync"
+
+	"dvfsroofline/internal/par"
 )
 
 // DirectSum evaluates the n-body sums exactly in O(N²) — the baseline the
@@ -27,23 +29,15 @@ func DirectSumAt(targets, sources []Point, densities []float64, k Kernel, worker
 	}
 	n := len(targets)
 	out := make([]float64, n)
-	chunk := (n + workers - 1) / workers
-	if chunk == 0 {
-		chunk = 1
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			evalSum(k, targets[lo:hi], out[lo:hi], sources, densities)
-		}(lo, hi)
-	}
-	wg.Wait()
+	// One task per contiguous block of targets; a target's sum does not
+	// depend on its block, so the output is the same at any worker count.
+	// The tasks cannot fail, so For returns nil.
+	chunk := max((n+workers-1)/workers, 1)
+	_ = par.For(context.TODO(), workers, (n+chunk-1)/chunk, func(c int) error {
+		lo, hi := c*chunk, min((c+1)*chunk, n)
+		evalSum(k, targets[lo:hi], out[lo:hi], sources, densities)
+		return nil
+	})
 	return out
 }
 

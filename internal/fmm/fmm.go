@@ -1,12 +1,13 @@
 package fmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"dvfsroofline/internal/counters"
+	"dvfsroofline/internal/par"
 )
 
 // Options configures an FMM evaluation.
@@ -213,37 +214,15 @@ func groupByLevel(t *Tree) [][]int {
 	return out
 }
 
-// parallelNodes runs fn over the given node indices with bounded
-// parallelism. All phases are structured so that fn writes only state
-// owned by its node, making this race-free.
+// parallelNodes runs fn over the given node indices through par.For,
+// bounded by Options.Workers. All phases are structured so that fn
+// writes only state owned by its node, making this race-free. The tasks
+// cannot fail, so For returns nil.
 func (e *engine) parallelNodes(nodes []int, fn func(i int)) {
-	workers := e.opt.Workers
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	if workers <= 1 {
-		for _, i := range nodes {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(nodes))
-	for _, i := range nodes {
-		next <- i
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		//energylint:allow hotalloc(one closure per worker, not per node; workers is capped by Options)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = par.For(context.TODO(), e.opt.Workers, len(nodes), func(k int) error {
+		fn(nodes[k])
+		return nil
+	})
 }
 
 // evalSum adds Σ_j K(x - y_j)·q_j to each accumulator for targets x.
