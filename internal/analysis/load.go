@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -43,9 +44,11 @@ func NewLoader() *Loader {
 }
 
 // LoadDir loads the single non-test package in dir under the given
-// import path. Test files (*_test.go) are exempt from energylint by
-// design: tests may legitimately wall-clock, and their randomness is
-// already pinned by explicit rand.NewSource seeds.
+// import path, keeping the files the go command would build for this
+// GOOS and GOARCH (file-name suffixes and //go:build lines). Test files
+// (*_test.go) are exempt from energylint by design: tests may
+// legitimately wall-clock, and their randomness is already pinned by
+// explicit rand.NewSource seeds.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -58,7 +61,13 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 			strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") {
 			continue
 		}
-		names = append(names, n)
+		match, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		}
+		if match {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {

@@ -17,7 +17,8 @@ type Options struct {
 	// small Q into the bandwidth-bound V phase). Default 128.
 	Q int
 	// SurfaceOrder is the number of equivalent-surface points per cube
-	// edge; accuracy grows with it. Default 4 (56 surface points).
+	// edge; accuracy grows with it. Default 4 (56 surface points); it
+	// must be at least 2.
 	SurfaceOrder int
 	// UseFFTM2L selects the FFT-accelerated V-list translation, the
 	// variant the paper's GPU implementation uses. Dense M2L stays the
@@ -34,7 +35,9 @@ type Options struct {
 	Kernel Kernel
 }
 
-func (o Options) withDefaults() Options {
+// withDefaults fills the zero fields with their defaults and rejects a
+// surface order below 2, the smallest SurfaceGrid builds.
+func (o Options) withDefaults() (Options, error) {
 	if o.Q == 0 {
 		o.Q = 128
 	}
@@ -50,7 +53,10 @@ func (o Options) withDefaults() Options {
 	if o.Kernel == nil {
 		o.Kernel = Laplace{}
 	}
-	return o
+	if o.SurfaceOrder < 2 {
+		return o, fmt.Errorf("fmm: invalid surface order %d", o.SurfaceOrder)
+	}
+	return o, nil
 }
 
 // Result holds the outcome of an FMM evaluation.
@@ -74,7 +80,10 @@ type Result struct {
 // (paper Eq. 10) for sources == targets == points, using the kernel-
 // independent FMM.
 func Evaluate(points []Point, densities []float64, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if len(points) != len(densities) {
 		return nil, fmt.Errorf("fmm: %d points but %d densities", len(points), len(densities))
 	}
@@ -89,7 +98,10 @@ func Evaluate(points []Point, densities []float64, opt Options) (*Result, error)
 // distinct source points y_j with densities s_j — the general form of the
 // paper's Eq. 10.
 func EvaluateAt(targets, sources []Point, densities []float64, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	if len(sources) != len(densities) {
 		return nil, fmt.Errorf("fmm: %d sources but %d densities", len(sources), len(densities))
 	}
@@ -240,25 +252,57 @@ func evalSum(k Kernel, targets []Point, acc []float64, sources []Point, q []floa
 	}
 }
 
+// inv4pi is the Laplace kernel's 1/(4π), applied once per target sum.
+const inv4pi = 1.0 / (4 * 3.141592653589793)
+
 // laplaceSum is the concrete fast path for the Laplace kernel (avoids
 // interface dispatch in the innermost loop, mirroring the hand-tuned
-// inner kernels of the paper's CUDA implementation).
+// inner kernels of the paper's CUDA implementation). Where useAVX2 is
+// set it hands blocks of four targets to the laplace4 kernel, which keeps
+// one sum per target and adds the sources in order; the last len%4
+// targets, and every target elsewhere, take the scalar loop. The results
+// are bit-identical either way: each step is the same correctly rounded
+// IEEE operation with no fused multiply-add, and a masked source (r² = 0
+// or NaN) adds +0, which leaves a sum that starts at +0 unchanged.
 func laplaceSum(targets []Point, acc []float64, sources []Point, q []float64) {
-	const inv4pi = 1.0 / (4 * 3.141592653589793)
-	for i := range targets {
-		tx, ty, tz := targets[i].X, targets[i].Y, targets[i].Z
-		var s float64
-		for j := range sources {
-			dx := tx - sources[j].X
-			dy := ty - sources[j].Y
-			dz := tz - sources[j].Z
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 > 0 {
-				s += q[j] / math.Sqrt(r2)
+	i := 0
+	if useAVX2 && len(targets) >= 4 {
+		// The kernel reads q[:len(sources)]; index it once here so a short
+		// q panics with a bounds error as the scalar loop does.
+		if len(sources) > 0 {
+			_ = q[len(sources)-1]
+		}
+		var blk [12]float64 // targets' x, y, z in three rows of four
+		var sum [4]float64
+		for ; i+4 <= len(targets); i += 4 {
+			for k, t := range targets[i : i+4] {
+				blk[k], blk[4+k], blk[8+k] = t.X, t.Y, t.Z
+			}
+			laplace4(&blk, sources, q, &sum)
+			for k, s := range sum {
+				acc[i+k] += s * inv4pi
 			}
 		}
-		acc[i] += s * inv4pi
 	}
+	for ; i < len(targets); i++ {
+		acc[i] += laplaceTarget(targets[i], sources, q) * inv4pi
+	}
+}
+
+// laplaceTarget is the scalar loop: Σ_j q[j]/|t − sources[j]| over the
+// sources with r² > 0, added in source order.
+func laplaceTarget(t Point, sources []Point, q []float64) float64 {
+	var s float64
+	for j := range sources {
+		dx := t.X - sources[j].X
+		dy := t.Y - sources[j].Y
+		dz := t.Z - sources[j].Z
+		r2 := dx*dx + dy*dy + dz*dz
+		if r2 > 0 {
+			s += q[j] / math.Sqrt(r2)
+		}
+	}
+	return s
 }
 
 // upward runs the UP phase: P2M at leaves, then M2M level by level

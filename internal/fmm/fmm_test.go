@@ -137,6 +137,75 @@ func TestEvaluateInputErrors(t *testing.T) {
 	}
 }
 
+func TestEvaluateRejectsInvalidInput(t *testing.T) {
+	pts := GeneratePoints(Uniform, 10, 1)
+	dens := GenerateDensities(10, 2)
+	with := func(i int, p Point) []Point {
+		out := append([]Point(nil), pts...)
+		out[i] = p
+		return out
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		eval    func() (*Result, error)
+		wantErr string
+	}{
+		{"NaN coordinate", func() (*Result, error) {
+			return Evaluate(with(3, Point{0.5, nan, 0.5}), dens, Options{})
+		}, "fmm: source point 3 has non-finite coordinate"},
+		{"+Inf coordinate", func() (*Result, error) {
+			return Evaluate(with(9, Point{inf, 0, 0}), dens, Options{})
+		}, "fmm: source point 9 has non-finite coordinate"},
+		{"-Inf coordinate", func() (*Result, error) {
+			return Evaluate(with(0, Point{0, 0, -inf}), dens, Options{})
+		}, "fmm: source point 0 has non-finite coordinate"},
+		{"EvaluateAt non-finite source", func() (*Result, error) {
+			return EvaluateAt(pts, with(4, Point{nan, nan, nan}), dens, Options{})
+		}, "fmm: source point 4 has non-finite coordinate"},
+		{"EvaluateAt non-finite target", func() (*Result, error) {
+			return EvaluateAt(with(7, Point{0, inf, 0}), pts, dens, Options{})
+		}, "fmm: target point 7 has non-finite coordinate"},
+		{"surface order 1", func() (*Result, error) {
+			return Evaluate(pts, dens, Options{SurfaceOrder: 1})
+		}, "fmm: invalid surface order 1"},
+		{"surface order -1", func() (*Result, error) {
+			return Evaluate(pts, dens, Options{SurfaceOrder: -1})
+		}, "fmm: invalid surface order -1"},
+		{"EvaluateAt surface order 1", func() (*Result, error) {
+			return EvaluateAt(pts, pts, dens, Options{SurfaceOrder: 1})
+		}, "fmm: invalid surface order 1"},
+		{"EvaluateAt surface order -1", func() (*Result, error) {
+			return EvaluateAt(pts, pts, dens, Options{SurfaceOrder: -1})
+		}, "fmm: invalid surface order -1"},
+		{"NaN density propagates", func() (*Result, error) {
+			d := append([]float64(nil), dens...)
+			d[5] = nan
+			return Evaluate(pts, d, Options{})
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.eval()
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("error %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Ten points make one leaf, so every other point sees density
+			// 5 directly; a point's own density never reaches it.
+			for i, v := range res.Potentials {
+				if math.IsNaN(v) != (i != 5) {
+					t.Errorf("potential %d = %v, want NaN only where density 5 reaches", i, v)
+				}
+			}
+		})
+	}
+}
+
 func TestDirectSumKnownTwoBody(t *testing.T) {
 	// Two unit charges at distance 1: each feels 1/(4π).
 	pts := []Point{{0, 0, 0}, {1, 0, 0}}

@@ -94,6 +94,14 @@ func buildTree(src, trg []Point, q, maxLevel int, shared bool) (*Tree, error) {
 	if maxLevel < 0 || maxLevel > 30 {
 		return nil, fmt.Errorf("fmm: invalid max level %d", maxLevel)
 	}
+	// A NaN or infinite coordinate would make the bounding cube
+	// non-finite and the tree degenerate into silent garbage.
+	if i := nonFinite(src); i >= 0 {
+		return nil, fmt.Errorf("fmm: source point %d has non-finite coordinate", i)
+	}
+	if i := nonFinite(trg); i >= 0 {
+		return nil, fmt.Errorf("fmm: target point %d has non-finite coordinate", i)
+	}
 
 	// Bounding cube over both sets, slightly padded so boundary points
 	// fall strictly inside.
@@ -137,6 +145,19 @@ func buildTree(src, trg []Point, q, maxLevel int, shared bool) (*Tree, error) {
 	})
 	t.split(t.Root)
 	return t, nil
+}
+
+// nonFinite returns the index of the first point with a NaN or infinite
+// coordinate, or -1.
+func nonFinite(pts []Point) int {
+	for i, p := range pts {
+		for _, v := range [3]float64{p.X, p.Y, p.Z} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 func identity(n int) []int {
