@@ -41,6 +41,22 @@ func transform(x []complex128, inverse bool) {
 	bluestein(x, inverse)
 }
 
+// twiddleSteps[d][lg] is radix2's twiddle step exp(i·sign·2π/2^lg) for
+// sign −1 (d = 0, forward) and +1 (d = 1, inverse), for every power of
+// two an int can hold, so a transform calls no Sincos. Each entry comes
+// from the runtime expression radix2 once evaluated per stage, with sign
+// a variable rather than a folded constant, so the table holds the same
+// bits.
+var twiddleSteps = func() (t [2][63]complex128) {
+	for d, sign := range []float64{-1, 1} {
+		for lg := 1; lg < len(t[d]); lg++ {
+			size := 1 << lg
+			t[d][lg] = cmplx.Rect(1, sign*2*math.Pi/float64(size))
+		}
+	}
+	return t
+}()
+
 // radix2 is the iterative Cooley-Tukey FFT for power-of-two lengths.
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
@@ -52,15 +68,14 @@ func radix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
+	steps := &twiddleSteps[0]
 	if inverse {
-		sign = 1.0
+		steps = &twiddleSteps[1]
 	}
-	for size := 2; size <= n; size <<= 1 {
+	for size, lg := 2, 1; size <= n; size, lg = size<<1, lg+1 {
 		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		// w = exp(i*step); computed incrementally per butterfly group.
-		wStep := cmplx.Rect(1, step)
+		// w = exp(i·sign·2π·k/size), advanced by one step per butterfly.
+		wStep := steps[lg]
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
 			for k := 0; k < half; k++ {

@@ -70,7 +70,8 @@ type Result struct {
 	Profiles PhaseProfiles
 	// SetupEvals counts kernel evaluations spent precomputing operators
 	// (done on the host in the paper's implementation, hence kept out of
-	// the device phases).
+	// the device phases). Operators exist only for levels from farLevel
+	// (2) down, so a tree of depth 0 or 1 counts none.
 	SetupEvals int64
 	// Options echoes the effective (defaulted) options.
 	Options Options
@@ -134,11 +135,21 @@ func newEngine(tree *Tree, densities []float64, opt Options) *engine {
 
 	// Warm the operator cache level by level before the parallel phases,
 	// so SetupEvals is deterministic and contention-free.
-	for lvl := range e.byLevel {
+	for lvl := farLevel; lvl < len(e.byLevel); lvl++ {
 		e.ops.at(lvl)
 	}
 	return e
 }
+
+// farLevel is the shallowest level with far-field work. The root has no
+// colleagues and the eight level-1 boxes all touch, so no box above
+// farLevel has a V or X list or sits in a W list: nothing reads its
+// upward equivalent densities, and its downward check and equivalent
+// densities stay +0. The tree passes skip those levels and build no
+// operators for them; the results keep every bit, because the L2L they
+// skip into level farLevel would add a vector of +0 to a downward check
+// potential that is never -0 (it starts at +0 and is only added to).
+const farLevel = 2
 
 // runTreePasses executes the four tree phases (UP, V, X, DOWN), leaving
 // every node's upward and downward equivalent densities populated.
@@ -171,7 +182,7 @@ func (e *engine) result() *Result {
 		Potentials: out,
 		Tree:       tree,
 		Profiles:   profiles,
-		SetupEvals: e.ops.evalCount,
+		SetupEvals: e.ops.evalCount.Load(),
 		Options:    e.opt,
 	}
 }
@@ -306,12 +317,11 @@ func laplaceTarget(t Point, sources []Point, q []float64) float64 {
 }
 
 // upward runs the UP phase: P2M at leaves, then M2M level by level
-// toward the root.
+// toward the root, stopping at farLevel.
 func (e *engine) upward() {
 	nsurf := len(e.ops.unitSurf)
-	check := e.ops
-	for lvl := len(e.byLevel) - 1; lvl >= 0; lvl-- {
-		ops := check.at(lvl)
+	for lvl := len(e.byLevel) - 1; lvl >= farLevel; lvl-- {
+		ops := e.ops.at(lvl)
 		e.parallelNodes(e.byLevel[lvl], func(i int) {
 			n := &e.t.Nodes[i]
 			chk := make([]float64, nsurf)
@@ -387,17 +397,18 @@ func (e *engine) xPhase() {
 	})
 }
 
-// downward runs the DOWN tree pass: convert check to equivalent
-// densities and push to children (L2L), level by level.
+// downward runs the DOWN tree pass from farLevel: convert check to
+// equivalent densities and push to children (L2L), level by level.
 func (e *engine) downward() {
 	nsurf := len(e.ops.unitSurf)
-	for lvl := 0; lvl < len(e.byLevel); lvl++ {
+	for lvl := farLevel; lvl < len(e.byLevel); lvl++ {
 		ops := e.ops.at(lvl)
 		e.parallelNodes(e.byLevel[lvl], func(i int) {
 			n := &e.t.Nodes[i]
 			// Parent contribution (L2L) arrives via the parent's
-			// equivalent density, already computed on the previous level.
-			if n.Parent != nilNode {
+			// equivalent density, already computed on the previous level;
+			// a parent above farLevel holds only +0.
+			if n.Level > farLevel {
 				tmp := make([]float64, nsurf)
 				parentOps := e.ops.at(n.Level - 1)
 				parentOps.l2l[n.Octant].MulVecTo(tmp, e.dnEquiv[n.Parent])

@@ -98,6 +98,71 @@ func TestSmallNDegeneratesToDirect(t *testing.T) {
 	}
 }
 
+// TestEvaluateShallowTrees covers the trees where the passes above
+// farLevel matter: depth 0 (one leaf), depth 1 (all leaves at level 1),
+// depth 2 (the first level with V lists) and an adaptive Plummer tree
+// with a leaf at level 1, on both M2L paths, each against the direct sum.
+func TestEvaluateShallowTrees(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		d         Distribution
+		n, q      int
+		seed      int64
+		depth     int // -1: any depth, with a leaf at level 1
+		tolerance float64
+	}{
+		{"depth0", Uniform, 50, 128, 8, 0, 1e-13},
+		{"depth1", Uniform, 300, 64, 14, 1, 1e-13},
+		{"depth2", Uniform, 2000, 64, 15, 2, 2e-3},
+		{"plummer_level1_leaf", Plummer, 1000, 40, 1, -1, 2e-3},
+	} {
+		for _, fft := range []bool{false, true} {
+			name := tc.name + "/dense"
+			if fft {
+				name = tc.name + "/fft"
+			}
+			t.Run(name, func(t *testing.T) {
+				err, res := evaluateAndCompare(t, tc.d, tc.n, Options{Q: tc.q, UseFFTM2L: fft}, tc.seed)
+				if tc.depth >= 0 && res.Tree.Depth() != tc.depth {
+					t.Fatalf("tree depth %d, want %d", res.Tree.Depth(), tc.depth)
+				}
+				if tc.depth < 0 && !hasLeafAt(res.Tree, 1) {
+					t.Fatal("tree has no leaf at level 1")
+				}
+				if err > tc.tolerance {
+					t.Errorf("relative L2 error %.2e, want at most %.0e", err, tc.tolerance)
+				}
+				if res.Tree.Depth() < farLevel && res.SetupEvals != 0 {
+					t.Errorf("%d setup evaluations for a tree with no far field", res.SetupEvals)
+				}
+			})
+		}
+	}
+}
+
+// TestOperatorsStartAtFarLevel checks that newEngine builds operators
+// only for the levels that have far-field work.
+func TestOperatorsStartAtFarLevel(t *testing.T) {
+	pts := GeneratePoints(Plummer, 1000, 1)
+	opt, err := Options{Q: 40}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := BuildTree(pts, opt.Q, opt.MaxLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := newEngine(tree, GenerateDensities(len(pts), 2), opt)
+	for lvl := range e.ops.levels {
+		if lvl < farLevel {
+			t.Errorf("operators built for level %d, above farLevel %d", lvl, farLevel)
+		}
+	}
+	if got, want := len(e.ops.levels), tree.Depth()+1-farLevel; got != want {
+		t.Errorf("operators for %d levels, want %d (levels %d..%d)", got, want, farLevel, tree.Depth())
+	}
+}
+
 func TestEvaluateDeterministic(t *testing.T) {
 	pts := GeneratePoints(Plummer, 1500, 10)
 	dens := GenerateDensities(1500, 11)

@@ -63,15 +63,14 @@ func newFFTPlan(p int, surf []Point) *fftPlan {
 
 // kernelHat returns (building if needed) the spectral kernel for a V-list
 // offset at the given box half-width. G[d] = K((offset·(p-1) + d)·δ) for
-// relative lattice displacements d ∈ (-p, p)³, embedded cyclically.
+// relative lattice displacements d ∈ (-p, p)³, embedded cyclically. Grids
+// are built under the plan's lock, so each is built once.
 func (pl *fftPlan) kernelHat(k Kernel, off [3]int8, h float64) []complex128 {
 	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	if g, ok := pl.kernels[off]; ok {
-		pl.mu.Unlock()
 		return g
 	}
-	pl.mu.Unlock()
-
 	delta := 2 * h / float64(pl.p-1)
 	base := [3]float64{
 		float64(off[0]) * float64(pl.p-1) * delta,
@@ -88,14 +87,7 @@ func (pl *fftPlan) kernelHat(k Kernel, off [3]int8, h float64) []complex128 {
 		}
 	}
 	fft.Forward3(g, pl.dim)
-
-	pl.mu.Lock()
-	if exist, ok := pl.kernels[off]; ok {
-		g = exist
-	} else {
-		pl.kernels[off] = g
-	}
-	pl.mu.Unlock()
+	pl.kernels[off] = g
 	return g
 }
 

@@ -3,6 +3,7 @@ package fmm
 import (
 	"math"
 	"math/cmplx"
+	"sync/atomic"
 	"testing"
 
 	"dvfsroofline/internal/fft"
@@ -71,6 +72,24 @@ func TestKernelHatCached(t *testing.T) {
 	b := plan.kernelHat(Laplace{}, [3]int8{2, 0, 0}, 0.5)
 	if &a[0] != &b[0] {
 		t.Error("kernel grid not cached")
+	}
+}
+
+// TestKernelHatConcurrentBuildsOnce asks 8 goroutines for one new offset:
+// the grid must be sampled once and every caller must get the cached one.
+func TestKernelHatConcurrentBuildsOnce(t *testing.T) {
+	var evals atomic.Int64
+	plan := newFFTPlan(4, SurfaceGrid(4))
+	got := concurrently(func() []complex128 {
+		return plan.kernelHat(countingKernel{n: &evals}, [3]int8{2, 0, 0}, 0.5)
+	})
+	if n, want := evals.Load(), int64(7*7*7); n != want {
+		t.Errorf("%d kernel evaluations, want one build of %d", n, want)
+	}
+	for g, ghat := range got {
+		if &ghat[0] != &got[0][0] {
+			t.Fatalf("goroutine %d got a different grid", g)
+		}
 	}
 }
 

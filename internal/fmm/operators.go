@@ -2,6 +2,7 @@ package fmm
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"dvfsroofline/internal/linalg"
 )
@@ -16,7 +17,9 @@ const rcond = 1e-9
 // width h = rootHalf / 2^level). Operators depend only on the level for a
 // fixed kernel, so they are computed once and shared across the level's
 // nodes. Nothing here assumes a homogeneous kernel — operators are built
-// per level, which is what keeps the method kernel-independent.
+// per level, which is what keeps the method kernel-independent. An
+// evaluation builds them only for levels farLevel and below: levels 0
+// and 1 have no far-field work.
 type levelOps struct {
 	uc2ue *linalg.Matrix    // pinv: upward check potential -> upward equivalent density
 	dc2de *linalg.Matrix    // pinv: downward check potential -> downward equivalent density
@@ -39,8 +42,9 @@ type operatorSet struct {
 
 	// evalCount tallies kernel evaluations spent building operators; the
 	// paper's GPU implementation precomputes these on the host, so they
-	// are reported separately from the device phases.
-	evalCount int64
+	// are reported separately from the device phases. Builds of
+	// different levels hold different locks, so the tally is atomic.
+	evalCount atomic.Int64
 }
 
 func newOperatorSet(k Kernel, surfaceOrder int, rootHalf float64) *operatorSet {
@@ -69,7 +73,7 @@ func (o *operatorSet) kernelMatrix(targets, sources []Point) *linalg.Matrix {
 			row[j] = o.kernel.Eval(t.X-s.X, t.Y-s.Y, t.Z-s.Z)
 		}
 	}
-	o.evalCount += int64(len(targets) * len(sources))
+	o.evalCount.Add(int64(len(targets) * len(sources)))
 	return m
 }
 
@@ -112,30 +116,21 @@ func (o *operatorSet) at(level int) *levelOps {
 
 // m2lFor returns the dense M2L operator for a same-level V-list offset
 // (in units of the box edge 2h): source upward-equivalent densities to
-// target downward-check potentials. Operators are cached per offset.
+// target downward-check potentials. Operators are cached per offset and
+// built under the level's lock, so each is built and counted once.
 func (o *operatorSet) m2lFor(level int, off [3]int8) *linalg.Matrix {
 	ops := o.at(level)
 	ops.m2lMu.Lock()
+	defer ops.m2lMu.Unlock()
 	if m, ok := ops.m2l[off]; ok {
-		ops.m2lMu.Unlock()
 		return m
 	}
-	ops.m2lMu.Unlock()
-
 	h := o.halfAt(level)
 	src := placeSurface(o.unitSurf, Point{}, h, equivRadius)
 	tc := Point{2 * h * float64(off[0]), 2 * h * float64(off[1]), 2 * h * float64(off[2])}
 	dst := placeSurface(o.unitSurf, tc, h, equivRadius)
 	m := o.kernelMatrix(dst, src)
-
-	ops.m2lMu.Lock()
-	// Another goroutine may have built it concurrently; keep the first.
-	if exist, ok := ops.m2l[off]; ok {
-		m = exist
-	} else {
-		ops.m2l[off] = m
-	}
-	ops.m2lMu.Unlock()
+	ops.m2l[off] = m
 	return m
 }
 

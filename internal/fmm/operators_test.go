@@ -2,7 +2,11 @@ package fmm
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"dvfsroofline/internal/linalg"
 )
 
 // newTestOps returns an operator set on a unit root box.
@@ -99,7 +103,7 @@ func TestOperatorCachePerLevel(t *testing.T) {
 		t.Error("different levels share an operator set")
 	}
 	// Setup eval counting is monotone and non-zero.
-	if ops.evalCount <= 0 {
+	if ops.evalCount.Load() <= 0 {
 		t.Error("no setup evaluations recorded")
 	}
 }
@@ -114,6 +118,61 @@ func TestM2LForCachesPerOffset(t *testing.T) {
 	}
 	if ops.m2lFor(1, [3]int8{0, 2, 0}) == a {
 		t.Error("distinct offsets share an M2L operator")
+	}
+}
+
+// countingKernel is the Laplace kernel with an evaluation counter that
+// is safe for concurrent use.
+type countingKernel struct {
+	Laplace
+	n *atomic.Int64
+}
+
+func (k countingKernel) Eval(dx, dy, dz float64) float64 {
+	k.n.Add(1)
+	return k.Laplace.Eval(dx, dy, dz)
+}
+
+// concurrently runs fn from 8 goroutines released together and returns
+// their results.
+func concurrently[T any](fn func() T) []T {
+	out := make([]T, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			out[g] = fn()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	return out
+}
+
+// TestM2LForConcurrentBuildsOnce asks 8 goroutines for one new offset:
+// the operator must be built, and its evaluations counted, exactly once,
+// and every caller must get the cached matrix.
+func TestM2LForConcurrentBuildsOnce(t *testing.T) {
+	var evals atomic.Int64
+	ops := newOperatorSet(countingKernel{n: &evals}, 4, 0.5)
+	ops.at(2)
+	before, counted := evals.Load(), ops.evalCount.Load()
+	off := [3]int8{2, 0, -1}
+	got := concurrently(func() *linalg.Matrix { return ops.m2lFor(2, off) })
+	nsurf := int64(SurfaceCount(4))
+	if n := evals.Load() - before; n != nsurf*nsurf {
+		t.Errorf("%d kernel evaluations for one %d×%d operator", n, nsurf, nsurf)
+	}
+	if n := ops.evalCount.Load() - counted; n != nsurf*nsurf {
+		t.Errorf("SetupEvals counted %d for one %d×%d operator", n, nsurf, nsurf)
+	}
+	for g, m := range got {
+		if m != got[0] {
+			t.Fatalf("goroutine %d got a different matrix", g)
+		}
 	}
 }
 

@@ -21,8 +21,18 @@ func FactorSVD(a *Matrix) *SVD {
 		return &SVD{U: s.V, S: s.S, V: s.U}
 	}
 	m, n := a.Rows, a.Cols
-	u := a.Clone()
-	v := Identity(n)
+	// The sweeps walk whole columns, so U and V are held column by
+	// column, each in its own contiguous slice: u[j] is column j of U.
+	u := columns(m, n)
+	for i := 0; i < m; i++ {
+		for j, x := range a.Row(i) {
+			u[j][i] = x
+		}
+	}
+	v := columns(n, n)
+	for j := range v {
+		v[j][j] = 1
+	}
 
 	// One-sided Jacobi: repeatedly orthogonalize pairs of columns of U,
 	// accumulating rotations into V, until all pairs are orthogonal to
@@ -32,13 +42,12 @@ func FactorSVD(a *Matrix) *SVD {
 		off := 0.0
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
+				up, uq := u[p], u[q][:m]
 				var alpha, beta, gamma float64
-				for i := 0; i < m; i++ {
-					up := u.At(i, p)
-					uq := u.At(i, q)
-					alpha += up * up
-					beta += uq * uq
-					gamma += up * uq
+				for i := range up {
+					alpha += up[i] * up[i]
+					beta += uq[i] * uq[i]
+					gamma += up[i] * uq[i]
 				}
 				if gamma == 0 {
 					continue
@@ -50,18 +59,8 @@ func FactorSVD(a *Matrix) *SVD {
 					t := sign(zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 					c := 1 / math.Sqrt(1+t*t)
 					s := c * t
-					for i := 0; i < m; i++ {
-						up := u.At(i, p)
-						uq := u.At(i, q)
-						u.Set(i, p, c*up-s*uq)
-						u.Set(i, q, s*up+c*uq)
-					}
-					for i := 0; i < n; i++ {
-						vp := v.At(i, p)
-						vq := v.At(i, q)
-						v.Set(i, p, c*vp-s*vq)
-						v.Set(i, q, s*vp+c*vq)
-					}
+					rotate(up, uq, c, s)
+					rotate(v[p], v[q], c, s)
 				}
 			}
 		}
@@ -72,16 +71,16 @@ func FactorSVD(a *Matrix) *SVD {
 
 	// Column norms of U are the singular values; normalize the columns.
 	s := make([]float64, n)
-	for j := 0; j < n; j++ {
+	for j, col := range u {
 		var norm float64
-		for i := 0; i < m; i++ {
-			norm = math.Hypot(norm, u.At(i, j))
+		for _, x := range col {
+			norm = math.Hypot(norm, x)
 		}
 		s[j] = norm
 		if norm > 0 {
 			inv := 1 / norm
-			for i := 0; i < m; i++ {
-				u.Set(i, j, u.At(i, j)*inv)
+			for i := range col {
+				col[i] *= inv
 			}
 		}
 	}
@@ -105,14 +104,35 @@ func FactorSVD(a *Matrix) *SVD {
 	ss := make([]float64, n)
 	for jnew, jold := range order {
 		ss[jnew] = s[jold]
-		for i := 0; i < m; i++ {
-			su.Set(i, jnew, u.At(i, jold))
+		for i, x := range u[jold] {
+			su.Set(i, jnew, x)
 		}
-		for i := 0; i < n; i++ {
-			sv.Set(i, jnew, v.At(i, jold))
+		for i, x := range v[jold] {
+			sv.Set(i, jnew, x)
 		}
 	}
 	return &SVD{U: su, S: ss, V: sv}
+}
+
+// columns returns n zeroed columns of length m, backed by one slice.
+func columns(m, n int) [][]float64 {
+	flat := make([]float64, m*n)
+	out := make([][]float64, n)
+	for j := range out {
+		out[j] = flat[j*m : (j+1)*m : (j+1)*m]
+	}
+	return out
+}
+
+// rotate applies the Jacobi rotation (c, s) to the column pair (x, y):
+// x, y = c·x − s·y, s·x + c·y.
+func rotate(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		x[i] = c*xi - s*yi
+		y[i] = s*xi + c*yi
+	}
 }
 
 func sign(x float64) float64 {
