@@ -252,10 +252,11 @@ func complexDigest(x []complex128) string {
 }
 
 // TestFFTBits pins every output bit of Forward3 and Inverse3 on the FMM's
-// 8³ M2L grid (radix-2 only) and on a 6×5×3 grid (Bluestein, which runs
-// radix-2 inside) and along one axis of length 1000 (Bluestein over a
-// 2048-point radix-2 transform), so a change to the twiddle factors or butterfly order
-// fails here. The pins hold on amd64, where the compiler never fuses a
+// 8³ M2L grid (radix-2 only), on two non-cubic radix-2 grids (4×8×2 and
+// 16×2×8, so each axis runs at a stride and lane count of its own), on a
+// 6×5×3 grid (Bluestein, which runs radix-2 inside) and along one axis of
+// length 1000 (Bluestein over a 2048-point radix-2 transform), so a change
+// to the twiddle factors or butterfly order fails here. The pins hold on amd64, where the compiler never fuses a
 // multiply and an add.
 func TestFFTBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -269,6 +270,12 @@ func TestFFTBits(t *testing.T) {
 		{"8x8x8", Dim3{8, 8, 8},
 			"b9d12abf79a4b3e9cd484733c7f99a5c2790944e7c8d564a545851432ffcf5ae",
 			"9bd5ed16063e01c966676337629c9ca0cd0b32a68c18577072907814f13a07be"},
+		{"4x8x2", Dim3{4, 8, 2},
+			"d1438d9597cb4691ea57c98a248fba6c42a854a732cd7ce4b450daeba09f7888",
+			"3ae34495654ca1d43ca535eb87021e97be1f64bdb9e865d1bfb767bfcd11851c"},
+		{"16x2x8", Dim3{16, 2, 8},
+			"586f271882d375c11961d35d5aac5e71ecb57dfc3ccf0747c536b1b74b35c737",
+			"011282807b446963b5b6882b41712b7eff9f74d774d843ed842dc1a308999848"},
 		{"6x5x3", Dim3{6, 5, 3},
 			"680aec5b8c8eb850aa84e154d129e4832d85eb135c4c22a4d2b3f655a0bf6542",
 			"df02dc9dd687a656a9b49c79d38ce8fd3349802da2cf7a4db0d67d1b8d11871d"},
