@@ -57,15 +57,31 @@ var twiddleSteps = func() (t [2][63]complex128) {
 	return t
 }()
 
-// radix2 is the iterative Cooley-Tukey FFT for power-of-two lengths.
+// radix2 is the iterative Cooley-Tukey FFT for power-of-two lengths: the
+// one-lane call of radix2Lanes.
 func radix2(x []complex128, inverse bool) {
-	n := len(x)
+	radix2Lanes(x, len(x), 1, 1, 1, inverse)
+}
+
+// radix2Lanes runs the iterative Cooley-Tukey FFT on lanes sequences of
+// power-of-two length n at once: element j of lane l is x[j*stride +
+// l*laneStride]. Each stage walks its butterflies in order and, inside
+// each, every lane, so a lane sees exactly the operations, and the twiddle
+// values of the one w *= wStep recurrence, that it would see alone; a
+// stage's butterflies touch disjoint pairs, so the interleaving changes
+// no element's result. With laneStride 1 the lane loop runs over
+// contiguous memory.
+func radix2Lanes(x []complex128, n, stride, lanes, laneStride int, inverse bool) {
+	span := (lanes-1)*laneStride + 1 // one element of every lane
 	// Bit-reversal permutation.
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := 0; i < n; i++ {
 		j := int(bits.Reverse64(uint64(i)) >> shift)
 		if j > i {
-			x[i], x[j] = x[j], x[i]
+			d := (j - i) * stride
+			for o := i * stride; o < i*stride+span; o += laneStride {
+				x[o], x[o+d] = x[o+d], x[o]
+			}
 		}
 	}
 	steps := &twiddleSteps[0]
@@ -74,15 +90,18 @@ func radix2(x []complex128, inverse bool) {
 	}
 	for size, lg := 2, 1; size <= n; size, lg = size<<1, lg+1 {
 		half := size >> 1
+		d := half * stride // from a butterfly's first element to its second
 		// w = exp(i·sign·2π·k/size), advanced by one step per butterfly.
 		wStep := steps[lg]
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+			for p := start * stride; p < (start+half)*stride; p += stride {
+				for o := p; o < p+span; o += laneStride {
+					a := x[o]
+					b := x[o+d] * w
+					x[o] = a + b
+					x[o+d] = a - b
+				}
 				w *= wStep
 			}
 		}
@@ -178,37 +197,38 @@ func transform3(x []complex128, d Dim3, inverse bool) {
 	if len(x) != d.Len() {
 		panic(fmt.Sprintf("fft: array length %d does not match dims %dx%dx%d", len(x), d.Nx, d.Ny, d.Nz))
 	}
-	// Transform along z (contiguous).
+	slab := d.Ny * d.Nz
+	// z: the Nx·Ny contiguous rows are the lanes.
+	transformLanes(x, d.Nz, 1, d.Nx*d.Ny, d.Nz, inverse)
+	// y: in each x-slab, the Nz contiguous columns are the lanes.
 	for i := 0; i < d.Nx; i++ {
-		for j := 0; j < d.Ny; j++ {
-			off := d.Index(i, j, 0)
-			transform(x[off:off+d.Nz], inverse)
-		}
+		transformLanes(x[i*slab:(i+1)*slab], d.Ny, d.Nz, d.Nz, 1, inverse)
 	}
-	// Transform along y (stride Nz).
-	buf := make([]complex128, d.Ny)
-	for i := 0; i < d.Nx; i++ {
-		for k := 0; k < d.Nz; k++ {
-			for j := 0; j < d.Ny; j++ {
-				buf[j] = x[d.Index(i, j, k)]
-			}
-			transform(buf, inverse)
-			for j := 0; j < d.Ny; j++ {
-				x[d.Index(i, j, k)] = buf[j]
-			}
-		}
+	// x: the Ny·Nz contiguous columns are the lanes.
+	transformLanes(x, d.Nx, slab, slab, 1, inverse)
+}
+
+// transformLanes transforms lanes sequences of length n laid out as
+// radix2Lanes describes. A power-of-two length runs radix2Lanes over every
+// lane at once; any other length gathers each lane into a buffer for
+// Bluestein.
+func transformLanes(x []complex128, n, stride, lanes, laneStride int, inverse bool) {
+	switch {
+	case n <= 1:
+		return
+	case n&(n-1) == 0:
+		radix2Lanes(x, n, stride, lanes, laneStride, inverse)
+		return
 	}
-	// Transform along x (stride Ny*Nz).
-	bufX := make([]complex128, d.Nx)
-	for j := 0; j < d.Ny; j++ {
-		for k := 0; k < d.Nz; k++ {
-			for i := 0; i < d.Nx; i++ {
-				bufX[i] = x[d.Index(i, j, k)]
-			}
-			transform(bufX, inverse)
-			for i := 0; i < d.Nx; i++ {
-				x[d.Index(i, j, k)] = bufX[i]
-			}
+	buf := make([]complex128, n)
+	for l := 0; l < lanes; l++ {
+		off := l * laneStride
+		for j := range buf {
+			buf[j] = x[off+j*stride]
+		}
+		bluestein(buf, inverse)
+		for j, v := range buf {
+			x[off+j*stride] = v
 		}
 	}
 }

@@ -41,8 +41,18 @@ type fftPlan struct {
 	// surfIdx[i] is the linear grid index of unit-surface point i.
 	surfIdx []int
 
-	mu      sync.Mutex
-	kernels map[[3]int8][]complex128 // per offset: Ĝ on the cyclic grid
+	mu sync.Mutex
+	// kernels[vOffsetSlot(off)] is Ĝ on the cyclic grid for V-list offset
+	// off, or nil until kernelHat builds it under mu. vPhaseFFT reads it
+	// without mu, but only after building every grid it reads.
+	kernels [7 * 7 * 7][]complex128
+}
+
+// vOffsetSlot numbers a V-list offset for a table of 7³ entries. A V-list
+// box is a child of a colleague of its target's parent that does not
+// touch the target, so each component lies in [-3, 3].
+func vOffsetSlot(off [3]int8) int {
+	return ((int(off[0])+3)*7+int(off[1])+3)*7 + int(off[2]) + 3
 }
 
 func newFFTPlan(p int, surf []Point) *fftPlan {
@@ -52,7 +62,6 @@ func newFFTPlan(p int, surf []Point) *fftPlan {
 		dim:     fft.Dim3{Nx: m, Ny: m, Nz: m},
 		surf:    surf,
 		surfIdx: make([]int, len(surf)),
-		kernels: make(map[[3]int8][]complex128),
 	}
 	for i, u := range surf {
 		ix, iy, iz := latticeIndex(u, p)
@@ -68,8 +77,9 @@ func newFFTPlan(p int, surf []Point) *fftPlan {
 func (pl *fftPlan) kernelHat(k Kernel, off [3]int8, h float64) []complex128 {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if g, ok := pl.kernels[off]; ok {
-		return g
+	cached := &pl.kernels[vOffsetSlot(off)]
+	if *cached != nil {
+		return *cached
 	}
 	delta := 2 * h / float64(pl.p-1)
 	base := [3]float64{
@@ -87,7 +97,7 @@ func (pl *fftPlan) kernelHat(k Kernel, off [3]int8, h float64) []complex128 {
 		}
 	}
 	fft.Forward3(g, pl.dim)
-	pl.kernels[off] = g
+	*cached = g
 	return g
 }
 
@@ -99,27 +109,42 @@ func mod(a, m int) int {
 	return a
 }
 
+// cmulAcc sets acc[k] += g[k]*s[k] for every k, the V phase's Hadamard
+// multiply-accumulate. Where useAVX2 is set, blocks of four go to the
+// cmulAcc4 kernel; the last len%4 values, and every value elsewhere, take
+// the Go loop. The results are bit-identical either way: both do the same
+// four correctly rounded products, one subtraction, one addition and one
+// add into acc per value, with no fused multiply-add. A g or s shorter than
+// acc panics with a bounds error before either path reads anything.
+func cmulAcc(acc, g, s []complex128) {
+	n := len(acc)
+	if n == 0 {
+		return
+	}
+	_, _ = g[n-1], s[n-1]
+	i := 0
+	if useAVX2 {
+		i = n &^ 3
+		cmulAcc4(acc[:i], g, s)
+	}
+	for ; i < n; i++ {
+		acc[i] += g[i] * s[i]
+	}
+}
+
 // vPhaseFFT computes the V phase through the spectral path, level by
 // level: forward-transform every source box's equivalent densities,
 // accumulate Ĝ⊙q̂ per target, inverse-transform, and scatter the surface
 // values into the downward check potentials.
 func (e *engine) vPhaseFFT() {
-	p := e.opt.SurfaceOrder
-	plan := newFFTPlan(p, e.ops.unitSurf)
-	dim := plan.dim
-
-	for lvl := range e.byLevel {
-		// Collect this level's targets and the sources they reference.
+	// slot[v]-1 is source box v's grid in its level's qhat. A V-list box
+	// sits on its target's level, so a box gets a slot at one level only.
+	slot := make([]int32, len(e.t.Nodes))
+	for lvl := farLevel; lvl < len(e.byLevel); lvl++ {
 		var targets []int
-		sources := map[int32]bool{}
 		for _, i := range e.byLevel[lvl] {
-			n := &e.t.Nodes[i]
-			if len(n.V) == 0 {
-				continue
-			}
-			targets = append(targets, i)
-			for _, v := range n.V {
-				sources[v] = true
+			if len(e.t.Nodes[i].V) > 0 {
+				targets = append(targets, i)
 			}
 		}
 		if len(targets) == 0 {
@@ -127,45 +152,46 @@ func (e *engine) vPhaseFFT() {
 		}
 		// The kernel grids depend on the level's box size; per-level plans
 		// keep the method kernel-independent (no homogeneity assumption).
-		levelPlan := newFFTPlan(p, e.ops.unitSurf)
+		plan := newFFTPlan(e.opt.SurfaceOrder, e.ops.unitSurf)
+		dim := plan.dim
 		h := e.ops.halfAt(lvl)
 
-		// Forward FFT per source box.
-		qhat := make(map[int32][]complex128, len(sources))
-		var mu sync.Mutex
-		srcList := make([]int, 0, len(sources))
-		for s := range sources {
-			srcList = append(srcList, int(s))
+		// Walk the V pairs once, sequentially and in target order: build
+		// each offset's kernel grid, so builds are deterministic, and give
+		// each source box a slot. The parallel loops below read only
+		// these, with no lock and no map.
+		var srcNodes []int
+		for _, ti := range targets {
+			n := &e.t.Nodes[ti]
+			for _, v := range n.V {
+				plan.kernelHat(e.opt.Kernel, vOffset(n, &e.t.Nodes[v]), h)
+				if slot[v] == 0 {
+					srcNodes = append(srcNodes, int(v))
+					slot[v] = int32(len(srcNodes))
+				}
+			}
 		}
-		e.parallelNodes(srcList, func(si int) {
-			grid := make([]complex128, dim.Len())
+
+		// Forward FFT per source box.
+		size := dim.Len()
+		qhat := make([]complex128, len(srcNodes)*size)
+		e.parallelNodes(srcNodes, func(si int) {
+			src := int(slot[si]-1) * size
+			grid := qhat[src : src+size]
 			for k, idx := range plan.surfIdx {
 				grid[idx] = complex(e.upEquiv[si][k], 0)
 			}
 			fft.Forward3(grid, dim)
-			mu.Lock()
-			qhat[int32(si)] = grid
-			mu.Unlock()
 		})
-
-		// Pre-build kernel grids sequentially for determinism.
-		for _, ti := range targets {
-			n := &e.t.Nodes[ti]
-			for _, v := range n.V {
-				levelPlan.kernelHat(e.opt.Kernel, vOffset(n, &e.t.Nodes[v]), h)
-			}
-		}
 
 		// Accumulate spectrally and invert per target.
 		e.parallelNodes(targets, func(ti int) {
 			n := &e.t.Nodes[ti]
-			acc := make([]complex128, dim.Len())
+			acc := make([]complex128, size)
 			for _, v := range n.V {
-				ghat := levelPlan.kernelHat(e.opt.Kernel, vOffset(n, &e.t.Nodes[v]), h)
-				src := qhat[v]
-				for k := range acc {
-					acc[k] += ghat[k] * src[k]
-				}
+				src := int(slot[v]-1) * size
+				ghat := plan.kernels[vOffsetSlot(vOffset(n, &e.t.Nodes[v]))]
+				cmulAcc(acc, ghat, qhat[src:src+size])
 			}
 			fft.Inverse3(acc, dim)
 			dst := e.dnCheck[ti]

@@ -1,7 +1,8 @@
 package fmm
 
-// useAVX2 routes laplaceSum's blocks of four targets through the AVX2
-// kernel. It is set once from CPUID; tests flip it to compare paths.
+// useAVX2 routes laplaceSum's blocks of four targets and cmulAcc's blocks
+// of four complex values through the AVX2 kernels. It is set once from
+// CPUID; tests flip it to compare paths.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU implements AVX2 and the OS saves the

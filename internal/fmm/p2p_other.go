@@ -2,7 +2,8 @@
 
 package fmm
 
-// useAVX2 is false off amd64, so laplaceSum always takes its scalar loop.
+// useAVX2 is false off amd64, so laplaceSum and cmulAcc always take their
+// Go loops.
 var useAVX2 = false
 
 // laplace4 is the pure-Go form of the amd64 kernel: the scalar loop for
