@@ -2,13 +2,19 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"dvfsroofline/internal/counters"
+	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/faults"
 	"dvfsroofline/internal/tegra"
 )
@@ -175,5 +181,60 @@ func TestCalibrateRejectsBadFaultPlan(t *testing.T) {
 	cfg.MinCoverage = 1.5
 	if _, err := Calibrate(context.Background(), dev, cfg); err == nil {
 		t.Error("min coverage above 1 accepted")
+	}
+}
+
+// TestMeasurementPathBits pins every bit that the fault-aware
+// measurement path produces: faulted sweeps over the full DVFS grid,
+// for a workload long enough to measure once and for one so short that
+// every candidate repeats, and a faulted calibration campaign with its
+// retry and quarantine counts. A change to the injector's gating, the
+// throttled trace, the meter's seeding or retry reseed, or the
+// repetition rule fails here. As with the FMM potentials, the pins hold
+// on amd64, where the compiler never fuses a multiply and an add.
+func TestMeasurementPathBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("measurement bits are pinned for amd64 only")
+	}
+	h := sha256.New()
+	put := func(x float64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+		h.Write(b[:])
+	}
+	cfg := Config{
+		Seed:   42,
+		Faults: faults.Plan{Seed: 3, DVFSFailure: 0.3, MeterDisconnect: 0.2, MeterSpike: 0.3, MeterDropout: 0.1, Throttle: 0.5},
+		Retry:  faults.Retry{MaxAttempts: 6, Sleep: func(time.Duration) {}},
+	}
+	short := tegra.Workload{
+		Profile:   counters.Profile{DPFMA: 1e5, DRAMWords: 1e4, Int: 1e4},
+		Occupancy: 0.9,
+	}
+	dev := tegra.NewDevice()
+	for _, w := range []tegra.Workload{sweepWorkload(), short} {
+		cands, err := SweepWorkload(context.Background(), dev, cfg, w, dvfs.Grid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cands {
+			put(float64(c.MeasuredEnergy))
+			put(float64(c.Time))
+		}
+	}
+	cal, err := Calibrate(context.Background(), dev, soakConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range cal.Samples {
+		put(float64(s.Energy))
+		put(float64(s.Time))
+	}
+	const want = "7d2805af3948a14b204b62408c390180bea5d0a597ee09a55351d56082134fdc"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("measurement path digest %s, want %s", got, want)
+	}
+	if cov := cal.Coverage; cov.Retried != 205 || len(cov.Quarantined) != 10 {
+		t.Errorf("calibration spent %d retries and quarantined %d samples, want 205 and 10", cov.Retried, len(cov.Quarantined))
 	}
 }
