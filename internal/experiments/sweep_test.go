@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
+	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/faults"
@@ -168,3 +170,28 @@ func TestSweepErrorIndependentOfWorkers(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSweepWorkload is one whole autotune sweep: the 16-setting
+// calibration grid that calibration-grid autotunes run and the
+// 105-setting full grid. One worker keeps allocs/op independent of the
+// host's core count: each pool worker is an allocation of its own.
+func BenchmarkSweepWorkload(b *testing.B) {
+	dev := tegra.NewDevice()
+	cfg := Config{Seed: 7, Workers: 1}
+	for _, grid := range [][]dvfs.Setting{sweepGrid(), dvfs.Grid()} {
+		b.Run(fmt.Sprintf("settings=%d", len(grid)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cands, err := SweepWorkload(context.Background(), dev, cfg, sweepWorkload(), grid)
+				if err != nil {
+					b.Fatal(err)
+				}
+				candidateSink = cands
+			}
+		})
+	}
+}
+
+// candidateSink keeps BenchmarkSweepWorkload's sweeps observable to the
+// compiler.
+var candidateSink []core.Candidate
