@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -94,17 +95,18 @@ func (p Plan) Validate() error {
 		{"disconnect", p.MeterDisconnect}, {"dvfs", p.DVFSFailure},
 		{"throttle", p.Throttle},
 	} {
-		if pr.v < 0 || pr.v > 1 {
+		// Negated so that NaN, which fails every comparison, is rejected.
+		if !(pr.v >= 0 && pr.v <= 1) {
 			return fmt.Errorf("faults: %s probability %g outside [0, 1]", pr.name, pr.v)
 		}
 	}
-	if p.SpikeFactor < 0 {
-		return fmt.Errorf("faults: negative spike factor %g", p.SpikeFactor)
+	if p.SpikeFactor < 0 || math.IsNaN(p.SpikeFactor) || math.IsInf(p.SpikeFactor, 0) {
+		return fmt.Errorf("faults: spike factor %g not a finite non-negative number", p.SpikeFactor)
 	}
-	if p.ThrottleFactor < 0 || p.ThrottleFactor > 1 {
+	if !(p.ThrottleFactor >= 0 && p.ThrottleFactor <= 1) {
 		return fmt.Errorf("faults: throttle factor %g outside [0, 1]", p.ThrottleFactor)
 	}
-	if p.ThrottleFraction < 0 || p.ThrottleFraction > 1 {
+	if !(p.ThrottleFraction >= 0 && p.ThrottleFraction <= 1) {
 		return fmt.Errorf("faults: throttle fraction %g outside [0, 1]", p.ThrottleFraction)
 	}
 	if p.DVFSSettleLatency < 0 {

@@ -49,6 +49,17 @@ func TestParsePlan(t *testing.T) {
 		"dvfs-latency=3", // missing duration unit
 		"throttle-factor=2",
 		"spike-factor=-1",
+		// NaN fails every comparison, and a NaN or infinite factor makes
+		// every faulted measurement read NaN or ±Inf without an error.
+		"dropout=NaN",
+		"spike=NaN",
+		"disconnect=NaN",
+		"dvfs=NaN",
+		"throttle=NaN",
+		"throttle=1,throttle-factor=NaN",
+		"throttle=1,throttle-fraction=NaN",
+		"spike=1,spike-factor=NaN",
+		"spike=1,spike-factor=Inf",
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted a bad spec", bad)
