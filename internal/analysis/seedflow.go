@@ -23,11 +23,11 @@ import (
 // argument position a sink for its callers). Renaming the variables
 // changes nothing — only laundering the index through a genuine mixing
 // function does. The sanctioned derivations are the FNV-mixing helpers
-// stats.MixSeed, experiments.deriveSeed and microbench.SampleSeed,
-// which hash the unit's identity values; their call results are clean
-// because hashing, unlike arithmetic, decouples the seed from the
-// iteration position. A plain constant offset (cfg.Seed+9, a stream
-// discriminator) is fine because no loop index is involved.
+// stats.MixSeed and microbench.SampleSeed, which hash the unit's
+// identity values; their call results are clean because hashing,
+// unlike arithmetic, decouples the seed from the iteration position. A
+// plain constant offset (cfg.Seed+9, a stream discriminator) is fine
+// because no loop index is involved.
 var Seedflow = &Analyzer{
 	Name: "seedflow",
 	Doc:  "forbid loop indices from flowing into RNG seeds; derive seeds from unit identity",
@@ -299,7 +299,7 @@ func (e *taintEngine) reportSinks(body *ast.BlockStmt) {
 				continue
 			}
 			if origin := e.origin(call.Args[ix]); origin != "" {
-				e.pass.Reportf(call.Args[ix].Pos(), "seed derived from loop index %q flows into %s: positional seeds break order- and subset-reproducibility; derive the seed from the unit's identity via stats.MixSeed (cf. experiments.deriveSeed, microbench.SampleSeed)", origin, calleeName(call))
+				e.pass.Reportf(call.Args[ix].Pos(), "seed derived from loop index %q flows into %s: positional seeds break order- and subset-reproducibility; derive the seed from the unit's identity via stats.MixSeed (cf. microbench.SampleSeed)", origin, calleeName(call))
 			}
 		}
 		return true

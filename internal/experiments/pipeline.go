@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"dvfsroofline/internal/par"
-	"dvfsroofline/internal/stats"
 )
 
 // This file is the experiment layer's concurrency substrate. Every
@@ -15,7 +14,7 @@ import (
 // results into pre-indexed slots, so the outcome is byte-identical for
 // any worker count; par.For's lowest-index rule makes a failing run's
 // error identical too. Randomness stays deterministic because every
-// unit derives its own seed from the unit's identity (deriveSeed,
+// unit derives its own seed from the unit's identity (stats.MixSeed,
 // microbench.SampleSeed) rather than from a shared stream.
 
 // Progress is one pipeline progress update.
@@ -53,11 +52,4 @@ func forEach(ctx context.Context, cfg Config, stage string, n int, task func(i i
 		cfg.progress(stage, done, n)
 		return nil
 	})
-}
-
-// deriveSeed mixes a base seed with stream indices (FNV-1a over the bit
-// patterns) so that every pipelined unit of work owns an independent
-// random stream tied to its identity, not to execution order.
-func deriveSeed(base int64, idx ...int64) int64 {
-	return stats.MixSeed(base, idx...)
 }
