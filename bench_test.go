@@ -250,10 +250,7 @@ func BenchmarkFigure7(b *testing.B) {
 			b.Fatal(err)
 		}
 		cf = c.ConstantFraction()
-		mb, err = experiments.MicrobenchConstantFraction(dev, cal.Model, benchCfg(), dvfs.MaxSetting())
-		if err != nil {
-			b.Fatal(err)
-		}
+		mb = experiments.MicrobenchConstantFraction(dev, cal.Model, dvfs.MaxSetting())
 	}
 	b.ReportMetric(cf, "fmm-const-frac")
 	b.ReportMetric(mb, "microbench-const-frac")

@@ -143,10 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mb, err := experiments.MicrobenchConstantFraction(dev, cal.Model, cfg, dvfs.MaxSetting())
-	if err != nil {
-		return err
-	}
+	mb := experiments.MicrobenchConstantFraction(dev, cal.Model, dvfs.MaxSetting())
 	fmt.Fprintln(stdout)
 	figures5to7(stdout, dev, cal.Model, runs, f5, mb)
 	if err := artifact("figure5.csv", func(f io.Writer) error {

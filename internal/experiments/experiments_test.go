@@ -20,7 +20,7 @@ func testConfig() Config {
 // testMeter builds a meter from the config, failing the test on error.
 func testMeter(t *testing.T, cfg Config, offset int64) *powermon.Meter {
 	t.Helper()
-	m, err := cfg.meter(offset)
+	m, err := cfg.NewMeter(cfg.Seed + offset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +280,7 @@ func TestFigure5SmallSweep(t *testing.T) {
 func TestMicrobenchVsFMMConstantFraction(t *testing.T) {
 	dev, cal, run := smallRun(t)
 	cfg := testConfig()
-	mb, err := MicrobenchConstantFraction(dev, cal.Model, cfg, dvfs.MaxSetting())
-	if err != nil {
-		t.Fatal(err)
-	}
+	mb := MicrobenchConstantFraction(dev, cal.Model, dvfs.MaxSetting())
 	// §IV-C: "constant power only accounts for about 30% of the total
 	// energy" for the microbenchmarks.
 	if mb < 0.20 || mb > 0.50 {

@@ -243,25 +243,63 @@ func SampleSeed(seed int64, b Benchmark, s dvfs.Setting) int64 {
 		int64(math.Float64bits(float64(s.Mem.VoltageMV))))
 }
 
-// meterFor returns the fresh, deterministically seeded meter that
-// measures one attempt of the (b, s) sample. Attempt 0 draws the seed
-// the identity alone defines — the fault-free path is byte-identical
-// with or without an (inactive) plan — while retries remix the attempt
-// number so a re-measurement redraws its noise instead of replaying the
-// corrupted stream.
-func (r *Runner) meterFor(b Benchmark, s dvfs.Setting, attempt int, inj *faults.Injector) (*powermon.Meter, error) {
-	cfg := r.MeterConfig
+// Measure takes one measurement attempt of exec with a fresh meter and
+// returns the energy of one execution: the fault-aware measurement that
+// calibration samples and autotune sweep candidates share.
+//
+// key is the unit's identity-derived seed and attempt its zero-based
+// retry count. The attempt's injector, plan.ForSample(key, attempt),
+// gates the DVFS transition, may throttle exec's power trace, and rides
+// along into the meter to corrupt or abort the sampling session;
+// injected failures are transient (faults.IsTransient), so callers
+// retry with the next attempt number. Attempt 0 seeds the meter with
+// key itself, so the fault-free path is byte-identical with or without
+// an inactive plan; retries remix the attempt number so a
+// re-measurement redraws its noise instead of replaying the corrupted
+// stream. A zero cfg selects powermon.DefaultConfig().
+//
+// With repeat set, a run shorter than 16 meter samples is repeated back
+// to back until it fills that window, as the paper's harness repeats
+// short kernels, and the integrated energy is divided by the repetition
+// count. Without it such a run is measured as is, and one too short to
+// integrate is an error.
+func Measure(exec tegra.Execution, cfg powermon.Config, plan faults.Plan, key int64, attempt int, repeat bool) (units.Joule, error) {
 	if cfg == (powermon.Config{}) {
 		cfg = powermon.DefaultConfig()
 	}
-	if inj != nil {
+	trace := exec.PowerAt
+	if inj := plan.ForSample(key, attempt); inj != nil {
+		if err := inj.DVFSTransition(); err != nil {
+			return 0, err
+		}
 		cfg.Faults = inj
+		trace = exec.ThrottledTrace(inj.ThrottleWindows(exec.Time))
 	}
-	seed := SampleSeed(r.Seed, b, s)
+	seed := key
 	if attempt > 0 {
-		seed = stats.MixSeed(seed, int64(attempt))
+		seed = stats.MixSeed(key, int64(attempt))
 	}
-	return powermon.NewMeter(cfg, seed)
+	meter, err := powermon.NewMeter(cfg, seed)
+	if err != nil {
+		return 0, err
+	}
+	reps := 1.0
+	if min := meter.MinDuration(16); repeat && exec.Time < min {
+		reps = math.Ceil(float64(min / exec.Time))
+		// Throttle windows land inside one execution period and repeat
+		// with it, so their relative energy effect is the same whether
+		// the run needed repetition or not.
+		period := float64(exec.Time)
+		inner := trace
+		trace = func(t units.Second) units.Watt {
+			return inner(units.Second(math.Mod(float64(t), period)))
+		}
+	}
+	meas, err := meter.Measure(trace, units.Second(reps*float64(exec.Time)))
+	if err != nil {
+		return 0, err
+	}
+	return units.Joule(float64(meas.Energy) / reps), nil
 }
 
 // Run sizes, executes and measures one benchmark at one setting. The
@@ -294,29 +332,12 @@ func (r *Runner) RunSized(b Benchmark, elements float64, s dvfs.Setting) (Sample
 	return r.RunSizedAttempt(b, elements, s, 0)
 }
 
-// RunSizedAttempt is RunSized for one retry attempt. The attempt's
-// injector (derived from the plan, the sample identity and the attempt
-// number) gates the DVFS transition, may throttle the execution's power
-// trace, and rides along into the meter to corrupt or abort the
-// sampling session. Injected failures are transient (faults.IsTransient)
-// so callers can retry with the next attempt number.
+// RunSizedAttempt is RunSized for one retry attempt: Measure keyed on
+// the sample's identity (SampleSeed). The run is never repeated; it is
+// sized to fill the measurement window.
 func (r *Runner) RunSizedAttempt(b Benchmark, elements float64, s dvfs.Setting, attempt int) (Sample, error) {
-	inj := r.Faults.ForSample(SampleSeed(r.Seed, b, s), attempt)
-	if inj != nil {
-		if err := inj.DVFSTransition(); err != nil {
-			return Sample{}, fmt.Errorf("microbench: switching to %v for %v: %w", s, b, err)
-		}
-	}
 	exec := r.Device.Execute(b.Workload(elements), s)
-	trace := exec.PowerAt
-	if inj != nil {
-		trace = exec.ThrottledTrace(inj.ThrottleWindows(exec.Time))
-	}
-	meter, err := r.meterFor(b, s, attempt, inj)
-	if err != nil {
-		return Sample{}, fmt.Errorf("microbench: %w", err)
-	}
-	meas, err := meter.Measure(trace, exec.Time)
+	energy, err := Measure(exec, r.MeterConfig, r.Faults, SampleSeed(r.Seed, b, s), attempt, false)
 	if err != nil {
 		return Sample{}, fmt.Errorf("microbench: measuring %v at %v: %w", b, s, err)
 	}
@@ -325,8 +346,8 @@ func (r *Runner) RunSizedAttempt(b Benchmark, elements float64, s dvfs.Setting, 
 		Setting:  s,
 		Workload: exec.Workload,
 		Time:     exec.Time,
-		Energy:   meas.Energy,
-		Power:    meas.MeanPower,
+		Energy:   energy,
+		Power:    units.Watt(float64(energy) / float64(exec.Time)),
 	}, nil
 }
 
