@@ -37,7 +37,7 @@ type RooflinePoint struct {
 func MeasuredRoofline(dev *tegra.Device, model *core.Model, cfg Config, kind microbench.Kind, s dvfs.Setting) ([]RooflinePoint, error) {
 	runner := &microbench.Runner{
 		Device:      dev,
-		MeterConfig: cfg.meterConfig(),
+		MeterConfig: cfg.Meter,
 		Seed:        cfg.Seed + 31,
 		TargetTime:  cfg.BenchTargetTime,
 	}
