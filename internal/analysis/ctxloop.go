@@ -35,65 +35,21 @@ var Ctxloop = &Analyzer{
 }
 
 func runCtxloop(pass *Pass) error {
-	consults := ctxConsultingCallees(pass)
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			fn, ok := n.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				return true
-			}
-			if !hasCtxParam(pass, fn.Type) {
-				return true
-			}
-			checkCtxLoops(pass, fn.Body, consults)
-			return false // checkCtxLoops descends into closures itself
-		})
+	// One-level summary: calling a package-local function, method or
+	// var-bound closure whose body directly references a context value
+	// counts as consulting the context.
+	consults := map[types.Object]bool{}
+	for _, fn := range pass.funcs {
+		if referencesContext(pass, fn.body) {
+			consults[fn.obj] = true
+		}
+	}
+	for _, fn := range pass.funcs {
+		if fn.decl != nil && hasCtxParam(pass, fn.decl.Type) {
+			checkCtxLoops(pass, fn.body, consults) // descends into closures itself
+		}
 	}
 	return nil
-}
-
-// ctxConsultingCallees builds the one-level cross-function summary: the
-// set of package-local functions, methods and closure-holding variables
-// whose body directly references a context value. Calling one of them
-// counts as consulting the context.
-func ctxConsultingCallees(pass *Pass) map[types.Object]bool {
-	consults := map[types.Object]bool{}
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch d := n.(type) {
-			case *ast.FuncDecl:
-				if d.Body != nil && referencesContext(pass, d.Body) {
-					if obj := pass.Info.ObjectOf(d.Name); obj != nil {
-						consults[obj] = true
-					}
-				}
-			case *ast.AssignStmt:
-				for i, rhs := range d.Rhs {
-					lit, ok := rhs.(*ast.FuncLit)
-					if !ok || i >= len(d.Lhs) || !referencesContext(pass, lit.Body) {
-						continue
-					}
-					if id, ok := d.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
-						if obj := pass.Info.ObjectOf(id); obj != nil {
-							consults[obj] = true
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				for i, v := range d.Values {
-					lit, ok := v.(*ast.FuncLit)
-					if !ok || i >= len(d.Names) || !referencesContext(pass, lit.Body) {
-						continue
-					}
-					if obj := pass.Info.ObjectOf(d.Names[i]); obj != nil {
-						consults[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-	return consults
 }
 
 // hasCtxParam reports whether the signature declares a named, non-blank
@@ -169,7 +125,7 @@ func callsCtxConsultingCallee(pass *Pass, body *ast.BlockStmt, consults map[type
 		if !ok {
 			return true
 		}
-		if obj := calleeObject(pass, call); obj != nil && consults[obj] {
+		if obj := callee(pass.Info, call); obj != nil && consults[obj] {
 			found = true
 			return false
 		}

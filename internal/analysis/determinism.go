@@ -192,7 +192,7 @@ func sortedLater(pass *Pass, funcBody *ast.BlockStmt, obj types.Object, after to
 		if !ok || call.Pos() < after {
 			return true
 		}
-		fn, ok := calledFunc(pass, call)
+		fn, ok := callee(pass.Info, call).(*types.Func)
 		if !ok || fn.Pkg() == nil {
 			return true
 		}
@@ -208,19 +208,6 @@ func sortedLater(pass *Pass, funcBody *ast.BlockStmt, obj types.Object, after to
 		return true
 	})
 	return found
-}
-
-// calledFunc resolves the *types.Func a call invokes, if any.
-func calledFunc(pass *Pass, call *ast.CallExpr) (*types.Func, bool) {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, ok := pass.Info.ObjectOf(fun).(*types.Func)
-		return fn, ok
-	case *ast.SelectorExpr:
-		fn, ok := pass.Info.ObjectOf(fun.Sel).(*types.Func)
-		return fn, ok
-	}
-	return nil, false
 }
 
 // mentionsObject reports whether expr references obj anywhere.
@@ -245,7 +232,7 @@ var writerNames = map[string]bool{
 // receiver declared outside the loop. A bytes.Buffer or strings.Builder
 // created inside the iteration is per-key state and stays deterministic.
 func writerCall(pass *Pass, rng *ast.RangeStmt, call *ast.CallExpr) (string, bool) {
-	fn, ok := calledFunc(pass, call)
+	fn, ok := callee(pass.Info, call).(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return "", false
 	}

@@ -41,7 +41,7 @@ func runErrwrap(pass *Pass) error {
 // checkErrorf flags %v / %s verbs whose operand is an error in a
 // fmt.Errorf call with a literal format string.
 func checkErrorf(pass *Pass, call *ast.CallExpr) {
-	fn, ok := calledFunc(pass, call)
+	fn, ok := callee(pass.Info, call).(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "fmt" || fn.Name() != "Errorf" {
 		return
 	}

@@ -35,7 +35,15 @@ var Goleak = &Analyzer{
 }
 
 func runGoleak(pass *Pass) error {
-	div := goleakDivergentCallees(pass)
+	// One-level summary: the package's functions and var-bound closures
+	// whose own body diverges. Spawning one of them is as leaky as
+	// inlining the loop.
+	div := map[types.Object]string{}
+	for _, fn := range pass.funcs {
+		if detail, bad := divergentBody(fn.body); bad {
+			div[fn.obj] = detail
+		}
+	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
@@ -45,58 +53,6 @@ func runGoleak(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// goleakDivergentCallees summarizes the package's named functions and
-// var-assigned closures: the ones whose own body diverges. Spawning one
-// of them is as leaky as inlining the loop.
-func goleakDivergentCallees(pass *Pass) map[types.Object]string {
-	out := map[types.Object]string{}
-	record := func(name *ast.Ident, body *ast.BlockStmt) {
-		if name == nil || name.Name == "_" || body == nil {
-			return
-		}
-		obj := pass.Info.ObjectOf(name)
-		if obj == nil {
-			return
-		}
-		if detail, bad := divergentBody(body); bad {
-			out[obj] = detail
-		}
-	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				record(fn.Name, fn.Body)
-			}
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				if len(s.Lhs) != len(s.Rhs) {
-					return true
-				}
-				for i, rhs := range s.Rhs {
-					if lit, ok := rhs.(*ast.FuncLit); ok {
-						if id, ok := s.Lhs[i].(*ast.Ident); ok {
-							record(id, lit.Body)
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				if len(s.Names) != len(s.Values) {
-					return true
-				}
-				for i, v := range s.Values {
-					if lit, ok := v.(*ast.FuncLit); ok {
-						record(s.Names[i], lit.Body)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
 }
 
 func checkGoStmt(pass *Pass, g *ast.GoStmt, div map[types.Object]string) {
@@ -110,7 +66,7 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt, div map[types.Object]string) {
 		}
 		return
 	}
-	if obj := calleeObject(pass, g.Call); obj != nil {
+	if obj := callee(pass.Info, g.Call); obj != nil {
 		if detail, bad := div[obj]; bad {
 			pass.Reportf(g.Pos(), "goroutine never terminates: %s contains %s; exit on ctx.Done() or a closed channel, or bound the loop", obj.Name(), detail)
 		}
@@ -160,7 +116,7 @@ func callsDivergent(pass *Pass, body *ast.BlockStmt, div map[types.Object]string
 		if !ok {
 			return true
 		}
-		if obj := calleeObject(pass, call); obj != nil {
+		if obj := callee(pass.Info, call); obj != nil {
 			if d, bad := div[obj]; bad {
 				name, detail = obj.Name(), d
 				return false

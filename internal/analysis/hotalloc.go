@@ -45,7 +45,7 @@ var Hotalloc = &Analyzer{
 }
 
 func runHotalloc(pass *Pass) error {
-	h := &hotallocPass{pass: pass, decls: map[types.Object]*ast.FuncDecl{}}
+	h := &hotallocPass{pass: pass}
 	hot := h.collectHot()
 	for _, hf := range hot {
 		h.checkFunc(hf.decl, hf.where)
@@ -54,8 +54,7 @@ func runHotalloc(pass *Pass) error {
 }
 
 type hotallocPass struct {
-	pass  *Pass
-	decls map[types.Object]*ast.FuncDecl
+	pass *Pass
 }
 
 type hotFunc struct {
@@ -69,45 +68,36 @@ type hotFunc struct {
 // deterministic: files and declarations in source order, annotated
 // functions before their callees.
 func (h *hotallocPass) collectHot() []hotFunc {
-	var annotated []*ast.FuncDecl
-	for _, file := range h.pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			if obj := h.pass.Info.ObjectOf(fn.Name); obj != nil {
-				h.decls[obj] = fn
-			}
-			if isHotpathAnnotated(fn) {
-				annotated = append(annotated, fn)
-			}
-		}
-	}
+	decls := map[types.Object]*ast.FuncDecl{}
 	seen := map[*ast.FuncDecl]bool{}
 	var out []hotFunc
-	for _, fn := range annotated {
-		if !seen[fn] {
-			seen[fn] = true
-			out = append(out, hotFunc{fn, "hot path"})
+	for _, fn := range h.pass.funcs {
+		if fn.decl == nil {
+			continue
+		}
+		decls[fn.obj] = fn.decl
+		if isHotpathAnnotated(fn.decl) {
+			seen[fn.decl] = true
+			out = append(out, hotFunc{fn.decl, "hot path"})
 		}
 	}
-	for _, fn := range annotated {
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
+	annotated := len(out)
+	for _, hf := range out[:annotated] {
+		ast.Inspect(hf.decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			obj := calleeObject(h.pass, call)
+			obj := callee(h.pass.Info, call)
 			if obj == nil || obj.Pkg() != h.pass.Pkg {
 				return true
 			}
-			callee := h.decls[obj]
-			if callee == nil || seen[callee] {
+			decl := decls[obj]
+			if decl == nil || seen[decl] {
 				return true
 			}
-			seen[callee] = true
-			out = append(out, hotFunc{callee, "hot path (callee of " + fn.Name.Name + ")"})
+			seen[decl] = true
+			out = append(out, hotFunc{decl, "hot path (callee of " + hf.decl.Name.Name + ")"})
 			return true
 		})
 	}

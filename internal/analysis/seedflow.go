@@ -47,27 +47,18 @@ func runSeedflow(pass *Pass) error {
 	// function flow into a direct seed sink, so call arguments can be
 	// treated as sinks one level deep.
 	summaries := map[types.Object][]int{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			if idxs := seedParamSummary(pass, fn); len(idxs) > 0 {
-				if obj := pass.Info.ObjectOf(fn.Name); obj != nil {
-					summaries[obj] = idxs
-				}
-			}
+	for _, fn := range pass.funcs {
+		if fn.decl == nil {
+			continue
+		}
+		if idxs := seedParamSummary(pass, fn.decl); len(idxs) > 0 {
+			summaries[fn.obj] = idxs
 		}
 	}
 	// Second pass: taint loop indices and report every sink they reach.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			seedflowFunc(pass, fn.Body, summaries)
+	for _, fn := range pass.funcs {
+		if fn.decl != nil {
+			seedflowFunc(pass, fn.body, summaries)
 		}
 	}
 	return nil
@@ -278,7 +269,7 @@ func (e *taintEngine) origin(x ast.Expr) string {
 // [0] for the RNG constructors themselves, and the summarized positions
 // for package-local helpers whose parameter reaches a constructor.
 func (e *taintEngine) sinkArgs(call *ast.CallExpr) []int {
-	obj := calleeObject(e.pass, call)
+	obj := callee(e.pass.Info, call)
 	if obj == nil {
 		return nil
 	}
@@ -319,7 +310,7 @@ func (e *taintEngine) anySinkReached(body *ast.BlockStmt) bool {
 		if !ok {
 			return true
 		}
-		obj := calleeObject(e.pass, call)
+		obj := callee(e.pass.Info, call)
 		if obj != nil && isSeedSink(obj) && len(call.Args) > 0 && e.origin(call.Args[0]) != "" {
 			found = true
 			return false
@@ -344,25 +335,6 @@ func isSeedSink(obj types.Object) bool {
 		return path == "stats" || strings.HasSuffix(path, "/stats")
 	}
 	return false
-}
-
-// calleeObject resolves the function object a call invokes, if it is a
-// plain identifier or selector (method values, conversions and builtins
-// return nil or non-Func objects handled by the callers).
-func calleeObject(pass *Pass, call *ast.CallExpr) types.Object {
-	return calleeObjectOf(pass.Info, call)
-}
-
-// calleeObjectOf is calleeObject over a bare types.Info, for helpers
-// (the lock simulation) that are not tied to a Pass.
-func calleeObjectOf(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return info.ObjectOf(fun)
-	case *ast.SelectorExpr:
-		return info.ObjectOf(fun.Sel)
-	}
-	return nil
 }
 
 // calleeName renders the call target for diagnostics ("rand.NewSource",
