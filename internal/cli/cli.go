@@ -78,7 +78,8 @@ func (a *App) Validate() error {
 	if a.Seed <= 0 {
 		return fmt.Errorf("invalid -seed %d: must be positive", a.Seed)
 	}
-	if a.MinCoverage <= 0 || a.MinCoverage > 1 {
+	// Negated so that NaN, which fails every comparison, is rejected.
+	if !(a.MinCoverage > 0 && a.MinCoverage <= 1) {
 		return fmt.Errorf("invalid -min-coverage %g: must be in (0, 1]", a.MinCoverage)
 	}
 	plan, err := faults.ParsePlan(a.FaultSpec)

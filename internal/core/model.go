@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/dvfs"
@@ -43,13 +44,32 @@ type Sample struct {
 
 // Validate reports an error for samples the fit cannot consume.
 func (s Sample) Validate() error {
-	if s.Time <= 0 {
+	// Negated so that NaN, which fails every comparison, is rejected.
+	if !(s.Time > 0) {
 		return fmt.Errorf("core: sample has non-positive time %g", float64(s.Time))
 	}
-	if s.Energy <= 0 {
+	if !(s.Energy > 0) {
 		return fmt.Errorf("core: sample has non-positive energy %g", float64(s.Energy))
 	}
+	if math.IsInf(float64(s.Time), 1) || math.IsInf(float64(s.Energy), 1) {
+		return fmt.Errorf("core: sample has infinite time %g or energy %g", float64(s.Time), float64(s.Energy))
+	}
+	p, set := s.Profile, s.Setting
+	if !finite(p.DPFMA, p.DPAdd, p.DPMul, p.SP, p.Int, p.SharedWords, p.L1Words, p.L2Words, p.DRAMWords,
+		float64(set.Core.FreqMHz), float64(set.Core.VoltageMV), float64(set.Mem.FreqMHz), float64(set.Mem.VoltageMV)) {
+		return fmt.Errorf("core: sample has a non-finite profile count or setting in %+v", s)
+	}
 	return nil
+}
+
+// finite reports whether every value is a finite number.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Model holds the fitted constants of Eq. 9.

@@ -53,8 +53,12 @@ type Machine struct {
 
 // Validate reports an error for non-physical machines.
 func (m Machine) Validate() error {
-	if m.OpsPerSec <= 0 || m.WordsPerSec <= 0 {
+	// Negated so that NaN, which fails every comparison, is rejected.
+	if !(m.OpsPerSec > 0) || !(m.WordsPerSec > 0) {
 		return fmt.Errorf("core: machine peaks must be positive, got %+v", m)
+	}
+	if math.IsInf(float64(m.OpsPerSec), 1) || math.IsInf(float64(m.WordsPerSec), 1) {
+		return fmt.Errorf("core: machine peaks must be finite, got %+v", m)
 	}
 	return nil
 }

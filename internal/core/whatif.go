@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/dvfs"
@@ -34,14 +35,21 @@ type PrefetchScenario struct {
 
 // Validate reports an error for meaningless scenarios.
 func (s PrefetchScenario) Validate() error {
-	if s.UsedFraction <= 0 || s.UsedFraction > 1 {
+	// Negated so that NaN, which fails every comparison, is rejected.
+	if !(s.UsedFraction > 0 && s.UsedFraction <= 1) {
 		return fmt.Errorf("core: used fraction %g outside (0, 1]", float64(s.UsedFraction))
 	}
-	if s.Slowdown < 1 {
+	if !(s.Slowdown >= 1) {
 		return fmt.Errorf("core: slowdown %g below 1", float64(s.Slowdown))
 	}
-	if s.TimeWithPrefetch <= 0 {
+	if !(s.TimeWithPrefetch > 0) {
 		return fmt.Errorf("core: non-positive time %g", float64(s.TimeWithPrefetch))
+	}
+	if math.IsInf(float64(s.Slowdown), 1) || math.IsInf(float64(s.TimeWithPrefetch), 1) {
+		return fmt.Errorf("core: infinite slowdown %g or time %g", float64(s.Slowdown), float64(s.TimeWithPrefetch))
+	}
+	if p := s.Profile; !finite(p.DPFMA, p.DPAdd, p.DPMul, p.SP, p.Int, p.SharedWords, p.L1Words, p.L2Words, p.DRAMWords) {
+		return fmt.Errorf("core: non-finite profile count in %+v", p)
 	}
 	return nil
 }

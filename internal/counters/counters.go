@@ -9,6 +9,7 @@ package counters
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -118,7 +119,7 @@ func (s Set) Names() []string {
 }
 
 // Validate reports an error if the set contains an unknown counter name
-// or a negative value.
+// or a negative or non-finite value.
 func (s Set) Validate() error {
 	for k, v := range s {
 		if _, ok := Lookup(k); !ok {
@@ -126,6 +127,9 @@ func (s Set) Validate() error {
 		}
 		if v < 0 {
 			return fmt.Errorf("counters: negative value %g for %q", v, k)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 1) {
+			return fmt.Errorf("counters: non-finite value %g for %q", v, k)
 		}
 	}
 	return nil

@@ -89,6 +89,16 @@ func (c Config) meterConfig() powermon.Config {
 	return c.Meter
 }
 
+// validate checks the measurement settings every measured entry point
+// (Calibrate, SweepWorkload, each SweepTargets target) runs under: the
+// meter config and the fault plan.
+func (c Config) validate() error {
+	if err := c.meterConfig().Validate(); err != nil {
+		return err
+	}
+	return c.Faults.Validate()
+}
+
 // NewMeter returns a fresh meter with the config's noise model, for
 // callers outside this package composing their own measurement sessions.
 func (c Config) NewMeter(seed int64) (*powermon.Meter, error) {
@@ -165,14 +175,12 @@ func (c Coverage) Complete() bool { return c.Measured == c.Total }
 // counts and outlier-screen tally land in Calibration.Coverage — all
 // worker-count-invariant, like the samples themselves.
 func Calibrate(ctx context.Context, dev *tegra.Device, cfg Config) (*Calibration, error) {
-	if err := cfg.meterConfig().Validate(); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	if err := cfg.Faults.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	minCov := cfg.minCoverage()
-	if minCov <= 0 || minCov > 1 {
+	// Negated so that NaN, which fails every comparison, is rejected.
+	if !(minCov > 0 && minCov <= 1) {
 		return nil, fmt.Errorf("experiments: min coverage %g outside (0, 1]", cfg.MinCoverage)
 	}
 	runner := &microbench.Runner{

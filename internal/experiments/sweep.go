@@ -59,8 +59,8 @@ func SweepWorkload(ctx context.Context, dev *tegra.Device, cfg Config, w tegra.W
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("experiments: empty setting grid")
 	}
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("experiments: sweep workload: %w", err)
+	if err := checkSweep(cfg, w); err != nil {
+		return nil, err
 	}
 	cands := make([]core.Candidate, len(grid))
 	err := forEach(ctx, cfg, "sweep", len(grid), func(i int) error {
@@ -123,6 +123,12 @@ func SweepTargets(ctx context.Context, pool Config, w tegra.Workload, targets []
 			out[ti].Err = fmt.Errorf("experiments: target %d: empty setting grid", ti)
 			continue
 		}
+		// An invalid meter config or fault plan fails its own target,
+		// before any unit runs, as an empty grid does.
+		if err := t.Cfg.validate(); err != nil {
+			out[ti].Err = fmt.Errorf("experiments: target %d: %w", ti, err)
+			continue
+		}
 		out[ti].Candidates = make([]core.Candidate, len(t.Grid))
 		errs[ti] = make([]error, len(t.Grid))
 		for gi := range t.Grid {
@@ -160,4 +166,17 @@ func SweepTargets(ctx context.Context, pool Config, w tegra.Workload, targets []
 		}
 	}
 	return out, nil
+}
+
+// checkSweep validates a single-device sweep's workload and
+// measurement settings once, at entry, so a bad value fails the sweep
+// instead of surfacing as non-finite energies.
+func checkSweep(cfg Config, w tegra.Workload) error {
+	if err := w.Validate(); err != nil {
+		return fmt.Errorf("experiments: sweep workload: %w", err)
+	}
+	if err := cfg.validate(); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	return nil
 }

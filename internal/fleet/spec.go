@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -190,6 +191,11 @@ func (s Spec) Validate() error {
 	}
 	if _, err := s.Grids(); err != nil {
 		return err
+	}
+	for _, b := range [...]units.MegaHertz{s.MinCoreMHz, s.MaxCoreMHz, s.MinMemMHz, s.MaxMemMHz} {
+		if math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
+			return fmt.Errorf("fleet: device %q: DVFS bound %g must be finite", s.ID, float64(b))
+		}
 	}
 	return nil
 }

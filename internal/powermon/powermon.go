@@ -37,7 +37,7 @@ const MaxSamples = 4 << 20
 
 // Config describes one measurement session.
 type Config struct {
-	SampleRate units.Hertz // samples per second; clamped to MaxSampleRate
+	SampleRate units.Hertz // samples per second; NewMeter reads NaN or a value outside (0, MaxSampleRate] as MaxSampleRate
 	GainSigma  units.Ratio // relative std-dev of the per-measurement gain error
 	NoiseSigma units.Watt  // additive white noise per sample
 	QuantumW   units.Watt  // ADC quantization step (0 disables)
@@ -50,10 +50,15 @@ type Config struct {
 	Faults FaultInjector
 }
 
-// Validate reports physically meaningless configurations.
+// Validate reports physically meaningless configurations. SampleRate is
+// not checked: NewMeter clamps it.
 func (c Config) Validate() error {
-	if c.GainSigma < 0 || c.NoiseSigma < 0 || c.QuantumW < 0 {
+	// Negated so that NaN, which fails every comparison, is rejected.
+	if !(c.GainSigma >= 0) || !(c.NoiseSigma >= 0) || !(c.QuantumW >= 0) {
 		return fmt.Errorf("powermon: negative noise parameter in %+v", c)
+	}
+	if math.IsInf(float64(c.GainSigma), 1) || math.IsInf(float64(c.NoiseSigma), 1) || math.IsInf(float64(c.QuantumW), 1) {
+		return fmt.Errorf("powermon: infinite noise parameter in %+v", c)
 	}
 	return nil
 }
@@ -90,7 +95,7 @@ type Meter struct {
 // hand-built Config but reachable from user input (flag and config
 // plumbing), so it is reported as an error rather than a panic.
 func NewMeter(cfg Config, seed int64) (*Meter, error) {
-	if cfg.SampleRate <= 0 || cfg.SampleRate > MaxSampleRate {
+	if !(cfg.SampleRate > 0 && cfg.SampleRate <= MaxSampleRate) {
 		cfg.SampleRate = MaxSampleRate
 	}
 	if err := cfg.Validate(); err != nil {

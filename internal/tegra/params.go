@@ -2,6 +2,7 @@ package tegra
 
 import (
 	"fmt"
+	"math"
 
 	"dvfsroofline/internal/units"
 )
@@ -48,23 +49,38 @@ func TK1Params() DeviceParams {
 }
 
 // Validate reports an error for physically meaningless parameters.
+// Fields are checked in declaration order, so the first bad one names
+// the error.
 func (p DeviceParams) Validate() error {
-	for name, v := range map[string]float64{
-		"SPpJ": float64(p.SPpJ), "DPpJ": float64(p.DPpJ), "IntpJ": float64(p.IntpJ),
-		"SharedpJ": float64(p.SharedpJ), "L2pJ": float64(p.L2pJ), "DRAMpJ": float64(p.DRAMpJ),
-	} {
-		if v <= 0 {
-			return fmt.Errorf("tegra: %s must be positive, got %g", name, v)
+	type param struct {
+		name string
+		v    float64
+	}
+	positive := []param{
+		{"SPpJ", float64(p.SPpJ)}, {"DPpJ", float64(p.DPpJ)}, {"IntpJ", float64(p.IntpJ)},
+		{"SharedpJ", float64(p.SharedpJ)}, {"L2pJ", float64(p.L2pJ)}, {"DRAMpJ", float64(p.DRAMpJ)},
+	}
+	for _, f := range positive {
+		// Negated so that NaN, which fails every comparison, is rejected.
+		if !(f.v > 0) {
+			return fmt.Errorf("tegra: %s must be positive, got %g", f.name, f.v)
 		}
 	}
-	for name, v := range map[string]float64{
-		"LeakProcWpV": float64(p.LeakProcWpV), "LeakMemWpV": float64(p.LeakMemWpV),
-		"MiscW":         float64(p.MiscW),
-		"ActivitySlope": float64(p.ActivitySlope), "ThermalSlope": float64(p.ThermalSlope),
-		"MixJitterAmp": float64(p.MixJitterAmp), "StallWatts": float64(p.StallWatts),
-	} {
-		if v < 0 {
-			return fmt.Errorf("tegra: %s must be non-negative, got %g", name, v)
+	nonNegative := []param{
+		{"LeakProcWpV", float64(p.LeakProcWpV)}, {"LeakMemWpV", float64(p.LeakMemWpV)},
+		{"MiscW", float64(p.MiscW)},
+		{"ActivitySlope", float64(p.ActivitySlope)}, {"ThermalSlope", float64(p.ThermalSlope)},
+		{"MixJitterAmp", float64(p.MixJitterAmp)}, {"StallWatts", float64(p.StallWatts)},
+	}
+	for _, f := range nonNegative {
+		if !(f.v >= 0) {
+			return fmt.Errorf("tegra: %s must be non-negative, got %g", f.name, f.v)
+		}
+	}
+	// FreqSlope may take either sign; every field must be finite.
+	for _, f := range append(append(positive, nonNegative...), param{"FreqSlope", float64(p.FreqSlope)}) {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("tegra: %s must be finite, got %g", f.name, f.v)
 		}
 	}
 	return nil

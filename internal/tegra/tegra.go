@@ -125,7 +125,8 @@ type Workload struct {
 
 // Validate reports an error for physically meaningless workloads.
 func (w Workload) Validate() error {
-	if w.Occupancy <= 0 || w.Occupancy > 1 {
+	// Negated so that NaN, which fails every comparison, is rejected.
+	if !(w.Occupancy > 0 && w.Occupancy <= 1) {
 		return fmt.Errorf("tegra: occupancy %g outside (0, 1]", float64(w.Occupancy))
 	}
 	p := w.Profile

@@ -29,6 +29,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"dvfsroofline/internal/stats"
 )
@@ -145,6 +146,9 @@ func (s Spec) Validate() error {
 	if s.DurationS <= 0 {
 		return fmt.Errorf("workload: duration %g must be positive", s.DurationS)
 	}
+	if math.IsNaN(s.DurationS) || math.IsInf(s.DurationS, 1) {
+		return fmt.Errorf("workload: duration %g must be finite", s.DurationS)
+	}
 	if len(s.Classes) == 0 {
 		return fmt.Errorf("workload: no op classes")
 	}
@@ -176,6 +180,11 @@ func (s Spec) Validate() error {
 		}
 		if c.BurstsPerS > 0 && (c.BurstDurS <= 0 || c.BurstBoost < 1) {
 			return fmt.Errorf("workload: op %q bursts need a positive duration and boost >= 1", c.Op)
+		}
+		for _, v := range [...]float64{c.BaseRate, c.DiurnalAmp, c.DiurnalPeriodS, c.DiurnalPhase, c.BurstsPerS, c.BurstDurS, c.BurstBoost} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("workload: op %q parameter %g must be finite", c.Op, v)
+			}
 		}
 	}
 	for _, n := range s.ProfileSizes {
