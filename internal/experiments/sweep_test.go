@@ -4,14 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/faults"
+	"dvfsroofline/internal/powermon"
 	"dvfsroofline/internal/tegra"
+	"dvfsroofline/internal/units"
 )
 
 func sweepWorkload() tegra.Workload {
@@ -90,6 +94,48 @@ func TestSweepWorkloadRejectsBadInput(t *testing.T) {
 	bad := tegra.Workload{Occupancy: 0.9} // empty profile
 	if _, err := SweepWorkload(context.Background(), dev, Config{Seed: 42}, bad, sweepGrid()); err == nil {
 		t.Error("empty workload accepted")
+	}
+}
+
+// TestSweepRejectsNaNConfig covers the three NaN inputs that used to
+// reach the meter unchecked and come back as NaN energies with a nil
+// error: a fault plan's throttle factor, the meter's noise sigma and the
+// workload's occupancy.
+func TestSweepRejectsNaNConfig(t *testing.T) {
+	dev := tegra.NewDevice()
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		w    tegra.Workload
+		want string
+	}{
+		{"plan", Config{Seed: 42, Faults: faults.Plan{Seed: 1, Throttle: 1, ThrottleFactor: nan}}, sweepWorkload(),
+			"experiments: faults: throttle factor NaN outside [0, 1]"},
+		{"meter", Config{Seed: 42, Meter: powermon.Config{SampleRate: 1024, NoiseSigma: units.Watt(nan)}}, sweepWorkload(),
+			"experiments: powermon: negative noise parameter in"},
+		{"occupancy", Config{Seed: 42}, tegra.Workload{Profile: sweepWorkload().Profile, Occupancy: units.Ratio(nan)},
+			"experiments: sweep workload: tegra: occupancy NaN outside (0, 1]"},
+	} {
+		cands, err := SweepWorkload(context.Background(), dev, tc.cfg, tc.w, sweepGrid())
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: SweepWorkload = %d candidates, error %v; want an error starting %q", tc.name, len(cands), err, tc.want)
+		}
+	}
+	// In a fleet sweep the bad config fails its own target only.
+	targets := []SweepTarget{
+		{Dev: dev, Cfg: Config{Seed: 42, Faults: faults.Plan{Seed: 1, Throttle: 1, ThrottleFactor: nan}}, Grid: sweepGrid()},
+		{Dev: dev, Cfg: Config{Seed: 42}, Grid: sweepGrid()},
+	}
+	out, err := SweepTargets(context.Background(), Config{Workers: 2}, sweepWorkload(), targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "experiments: target 0: faults: throttle factor NaN outside [0, 1]"; out[0].Err == nil || out[0].Err.Error() != want {
+		t.Errorf("target 0 error = %v, want %q", out[0].Err, want)
+	}
+	if out[1].Err != nil || len(out[1].Candidates) != len(sweepGrid()) {
+		t.Errorf("target 1 = %d candidates, error %v; want the full grid", len(out[1].Candidates), out[1].Err)
 	}
 }
 
@@ -173,13 +219,14 @@ func TestSweepErrorIndependentOfWorkers(t *testing.T) {
 
 // BenchmarkSweepWorkload is one whole autotune sweep: the 16-setting
 // calibration grid that calibration-grid autotunes run and the
-// 105-setting full grid. One worker keeps allocs/op independent of the
-// host's core count: each pool worker is an allocation of its own.
+// 105-setting full grid, at one worker, plus the calibration grid on a
+// two-worker pool. Each pool worker is an allocation of its own, so the
+// workers=2 case is gated under -cpu 2 to keep its allocs/op fixed.
 func BenchmarkSweepWorkload(b *testing.B) {
 	dev := tegra.NewDevice()
-	cfg := Config{Seed: 7, Workers: 1}
-	for _, grid := range [][]dvfs.Setting{sweepGrid(), dvfs.Grid()} {
-		b.Run(fmt.Sprintf("settings=%d", len(grid)), func(b *testing.B) {
+	run := func(name string, workers int, grid []dvfs.Setting) {
+		cfg := Config{Seed: 7, Workers: workers}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cands, err := SweepWorkload(context.Background(), dev, cfg, sweepWorkload(), grid)
@@ -190,6 +237,10 @@ func BenchmarkSweepWorkload(b *testing.B) {
 			}
 		})
 	}
+	for _, grid := range [][]dvfs.Setting{sweepGrid(), dvfs.Grid()} {
+		run(fmt.Sprintf("settings=%d", len(grid)), 1, grid)
+	}
+	run("workers=2", 2, sweepGrid())
 }
 
 // candidateSink keeps BenchmarkSweepWorkload's sweeps observable to the

@@ -22,10 +22,12 @@ marker onto matching benchmark names at emit time.
 
 Usage:
   go test -run '^$' -bench 'BenchmarkRing' -benchmem ./internal/fleet | tee /tmp/b1.txt
-  python3 scripts/bench_gate.py --baseline BENCH_PR9.json /tmp/b1.txt
-  python3 scripts/bench_gate.py --baseline BENCH_PR9.json \
-      --emit BENCH_PR10.json --pr 10 --hotpath 'CacheGet|MixSeed' \
+  python3 scripts/bench_gate.py --baseline BENCH_PR<N>.json /tmp/b1.txt
+  python3 scripts/bench_gate.py --baseline BENCH_PR<N>.json \
+      --emit BENCH_PR<N+1>.json --pr <N+1> --hotpath 'CacheGet|MixSeed' \
       --note '...' /tmp/b1.txt /tmp/b2.txt
+
+where BENCH_PR<N>.json is the newest checked-in baseline.
 """
 
 import argparse
