@@ -794,6 +794,7 @@ func (s *lockSim) stmt(st ast.Stmt, held heldSet) (heldSet, bool) {
 	case *ast.ExprStmt:
 		if call, ok := ast.Unparen(v.X).(*ast.CallExpr); ok {
 			if key, mode, acquire, isLock := s.lockOp(call); isLock {
+				s.scanLockBase(call, held)
 				if acquire {
 					if s.onAcquire != nil {
 						s.onAcquire(call, key, mode, held)
@@ -810,6 +811,7 @@ func (s *lockSim) stmt(st ast.Stmt, held heldSet) (heldSet, bool) {
 	case *ast.DeferStmt:
 		if _, _, acquire, isLock := s.lockOp(v.Call); isLock && !acquire {
 			// defer mu.Unlock(): held to the end of the function.
+			s.scanLockBase(v.Call, held)
 			return held, false
 		}
 		if lit, ok := v.Call.Fun.(*ast.FuncLit); ok {
@@ -1015,6 +1017,16 @@ func (s *lockSim) lockOp(call *ast.CallExpr) (lockKey, lockMode, bool, bool) {
 		return lockKey{}, 0, false, false
 	}
 	return lockKey{base, mv}, mode, acquire, true
+}
+
+// scanLockBase scans what a recognized lock call evaluates to reach its
+// mutex: o.inner in o.inner.mu.Lock() is a read of o.inner, checked
+// against the locks held before the call takes or drops its own.
+func (s *lockSim) scanLockBase(call *ast.CallExpr, held heldSet) {
+	fun := ast.Unparen(call.Fun).(*ast.SelectorExpr) // lockOp recognized it
+	if mu, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok {
+		s.scan(mu.X, held)
+	}
 }
 
 // scan walks a non-control node reporting guarded accesses and

@@ -199,3 +199,23 @@ type broken struct {
 	// guarded by missing
 	rows map[string]int // want `guarded-by annotation names "missing", which is not a sibling`
 }
+
+// outer guards a pointer to another locked type. Reaching the inner
+// mutex reads the guarded field, so o.mu must be held to lock it.
+type outer struct {
+	mu    sync.Mutex
+	inner *table // guarded by mu
+}
+
+func (o *outer) Nested(k string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.inner.mu.Lock()
+	defer o.inner.mu.Unlock()
+	o.inner.rows[k]++
+}
+
+func (o *outer) Unheld() {
+	o.inner.mu.Lock()         // want `o\.inner is guarded by "mu" but the mutex is not held`
+	defer o.inner.mu.Unlock() // want `o\.inner is guarded by "mu" but the mutex is not held`
+}
