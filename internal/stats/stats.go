@@ -125,6 +125,11 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(newLazySource(seed))}
 }
 
+// Seed resets g in place to the stream NewRNG(seed) draws. Only the
+// source's seeded-entry bitmap is cleared, so a generator that is reused
+// across measurements costs no allocation.
+func (g *RNG) Seed(seed int64) { g.r.Seed(seed) }
+
 // Float64 returns a uniform value in [0,1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 

@@ -110,6 +110,33 @@ func TestRNGDeterministic(t *testing.T) {
 	}
 }
 
+// TestRNGSeedMatchesNewRNG holds RNG.Seed to NewRNG: however many draws
+// of whatever kind came before, Seed(s) must restart exactly the stream a
+// fresh NewRNG(s) draws, so a reseeded meter reproduces a fresh one.
+func TestRNGSeedMatchesNewRNG(t *testing.T) {
+	g := NewRNG(3)
+	for i, seed := range streamSeeds() {
+		for j := 0; j < i%7*150; j++ { // 0 to 900 draws, past the 607-entry table
+			switch j % 3 {
+			case 0:
+				g.Float64()
+			case 1:
+				g.Normal(0, 1)
+			case 2:
+				g.Intn(1 + j)
+			}
+		}
+		g.Seed(seed)
+		want := NewRNG(seed)
+		for j := 0; j < 1300; j++ {
+			got, exp := g.Normal(1, 0.03), want.Normal(1, 0.03)
+			if math.Float64bits(got) != math.Float64bits(exp) {
+				t.Fatalf("seed %d draw %d after reseed: got %v, NewRNG %v", seed, j, got, exp)
+			}
+		}
+	}
+}
+
 func TestRNGNormalMoments(t *testing.T) {
 	g := NewRNG(5)
 	const n = 200000
