@@ -59,6 +59,11 @@ func (s Sample) Validate() error {
 		float64(set.Core.FreqMHz), float64(set.Core.VoltageMV), float64(set.Mem.FreqMHz), float64(set.Mem.VoltageMV)) {
 		return fmt.Errorf("core: sample has a non-finite profile count or setting in %+v", s)
 	}
+	for _, v := range [...]float64{p.DPFMA, p.DPAdd, p.DPMul, p.SP, p.Int, p.SharedWords, p.L1Words, p.L2Words, p.DRAMWords} {
+		if v < 0 {
+			return fmt.Errorf("core: sample has negative profile count %g in %+v", v, s)
+		}
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dvfsroofline/internal/counters"
@@ -185,6 +186,38 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := Fit(bad); err == nil {
 		t.Error("expected error for zero-time samples")
+	}
+}
+
+// TestSampleValidate pins Sample.Validate's verdict and message per
+// defect: a -cache samples.csv reaches the fit through it, so a row the
+// device could not have produced must fail here, not inside NNLS.
+func TestSampleValidate(t *testing.T) {
+	valid := func() Sample {
+		return Sample{Profile: counters.Profile{SP: 4e9, Int: 1e8, DRAMWords: 5e7}, Setting: dvfs.MustSetting(852, 924), Time: 0.2, Energy: 1.5}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Sample)
+		want   string // error prefix; "" = valid
+	}{
+		{"valid", func(*Sample) {}, ""},
+		{"zero time", func(s *Sample) { s.Time = 0 }, "core: sample has non-positive time 0"},
+		{"NaN energy", func(s *Sample) { s.Energy = units.Joule(math.NaN()) }, "core: sample has non-positive energy NaN"},
+		{"infinite time", func(s *Sample) { s.Time = units.Second(math.Inf(1)) }, "core: sample has infinite time +Inf or energy 1.5"},
+		{"-Inf count", func(s *Sample) { s.Profile.SP = math.Inf(-1) }, "core: sample has a non-finite profile count or setting in "},
+		{"negative count", func(s *Sample) { s.Profile.DRAMWords = -5e5 }, "core: sample has negative profile count -500000 in "},
+	}
+	for _, c := range cases {
+		s := valid()
+		c.mutate(&s)
+		err := s.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want prefix %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -119,9 +119,11 @@ func (s Set) Names() []string {
 }
 
 // Validate reports an error if the set contains an unknown counter name
-// or a negative or non-finite value.
+// or a negative or non-finite value. Counters are checked in name order,
+// so with several bad counters the error always names the same one.
 func (s Set) Validate() error {
-	for k, v := range s {
+	for _, k := range s.Names() {
+		v := s[k]
 		if _, ok := Lookup(k); !ok {
 			return fmt.Errorf("counters: unknown counter %q", k)
 		}

@@ -61,6 +61,14 @@ func TestSetValidate(t *testing.T) {
 	if err := (Set{FlopsDPFMA: -1}).Validate(); err == nil {
 		t.Error("negative counter accepted")
 	}
+	// With several bad counters the error must not depend on map order.
+	bad := Set{FlopsDPFMA: -1, "bogus": 1, "bogus2": 2}
+	const want = `counters: unknown counter "bogus"`
+	for i := 0; i < 200; i++ {
+		if err := bad.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: err = %v, want %q", i, err, want)
+		}
+	}
 }
 
 func TestSetMergeAndNames(t *testing.T) {
