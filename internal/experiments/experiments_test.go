@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
+	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/fmm"
 	"dvfsroofline/internal/powermon"
@@ -274,6 +276,61 @@ func TestFigure5SmallSweep(t *testing.T) {
 			f5.Cases[bestE].SettingID,
 			100*(f5.Cases[bestE].Time/f5.Cases[bestT].Time-1),
 			f5.Cases[bestT].SettingID)
+	}
+}
+
+// TestFigure5CaseBits pins the bits of every Figure 5 case for one small
+// input (F8 scaled down 8x): the measured time, the PowerMon-integrated
+// energy and the Eq. 9 prediction. The model is the TK1's declared
+// constants rather than a fit, so only the FMM's counted profiles, the
+// device schedule and the measurement path feed the pins. As with the
+// other measurement pins, they hold on amd64, where the compiler never
+// fuses a multiply and an add.
+func TestFigure5CaseBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("figure 5 bits are pinned for amd64 only")
+	}
+	cfg := Config{Seed: 42, Workers: 2}
+	in, _ := ScaleInputs(FMMInputs()[7:], 8)
+	run, err := RunFMMInput(in[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tegra.TK1Params()
+	model := &core.Model{
+		SPpJ: p.SPpJ, DPpJ: p.DPpJ, IntpJ: p.IntpJ,
+		SMpJ: p.SharedpJ, L2pJ: p.L2pJ, DRAMpJ: p.DRAMpJ,
+		C1Proc: p.LeakProcWpV, C1Mem: p.LeakMemWpV, PMisc: p.MiscW,
+	}
+	f5, err := Figure5(context.Background(), tegra.NewDevice(), model, []*FMMRun{run}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Time, MeasuredEnergy and PredictedEnergy bits, S1 (the max
+	// setting) to S8.
+	want := [][3]uint64{
+		{0x3fb5d9a3c7ff9ac1, 0x3fe5ccbc44860c3d, 0x3fe4b955c0ab8346},
+		{0x3fb89ff177be89d6, 0x3fe824308ae9be2b, 0x3fe625b783588d9c},
+		{0x3fd9db23f0ee7721, 0x40035b81c17270f7, 0x4003e1e4a677446a},
+		{0x3fb5d9a3c7ff9ac1, 0x3fe5a728c1f0ee0b, 0x3fe4282abc14a920},
+		{0x3fbe6b3957af22bb, 0x3fe9ce5c250e3f68, 0x3fe7b4473938f1da},
+		{0x3fc13cc2a09efa15, 0x3fec50a51d5fa61f, 0x3fea5d4a9403d56d},
+		{0x3fbe6b3957af22bb, 0x3fe95d837fe8c1e5, 0x3fe73ed1bdacb720},
+		{0x3fbec6705829b989, 0x3fea4c1ee3019042, 0x3fe90525fb637d7f},
+	}
+	if len(f5.Cases) != len(want) {
+		t.Fatalf("got %d cases, want %d", len(f5.Cases), len(want))
+	}
+	for i, c := range f5.Cases {
+		got := [3]uint64{
+			math.Float64bits(float64(c.Time)),
+			math.Float64bits(float64(c.MeasuredEnergy)),
+			math.Float64bits(float64(c.PredictedEnergy)),
+		}
+		if got != want[i] {
+			t.Errorf("case %s: bits {%#x, %#x, %#x}, want {%#x, %#x, %#x}",
+				c.SettingID, got[0], got[1], got[2], want[i][0], want[i][1], want[i][2])
+		}
 	}
 }
 
