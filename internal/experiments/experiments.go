@@ -620,7 +620,7 @@ type FMMCase struct {
 func RunFMMCase(dev *tegra.Device, meter *powermon.Meter, model *core.Model, run *FMMRun, settingID string, s dvfs.Setting) (FMMCase, error) {
 	sched := run.Schedule(dev, s)
 	dur := sched.Duration()
-	meas, err := meter.Measure(sched.PowerAt, dur)
+	energy, err := meter.Energy(sched.PowerAt, dur)
 	if err != nil {
 		return FMMCase{}, fmt.Errorf("experiments: case %s/%s: %w", run.Input.ID, settingID, err)
 	}
@@ -638,9 +638,9 @@ func RunFMMCase(dev *tegra.Device, meter *powermon.Meter, model *core.Model, run
 		SettingID:       settingID,
 		Setting:         s,
 		Time:            dur,
-		MeasuredEnergy:  meas.Energy,
+		MeasuredEnergy:  energy,
 		PredictedEnergy: parts.Total(),
-		RelErr:          stats.RelErr(float64(parts.Total()), float64(meas.Energy)),
+		RelErr:          stats.RelErr(float64(parts.Total()), float64(energy)),
 		PredictedParts:  parts,
 		TrueBreakdown:   truth,
 	}, nil
