@@ -16,7 +16,8 @@ func DirectSum(points []Point, densities []float64, k Kernel, workers int) []flo
 }
 
 // DirectSumAt evaluates the exact potentials at arbitrary target points
-// due to the given sources — the O(N·M) reference for EvaluateAt.
+// due to the given sources in O(N·M): the reference for spot-checking an
+// FMM result at a sample of its points.
 func DirectSumAt(targets, sources []Point, densities []float64, k Kernel, workers int) []float64 {
 	if len(sources) != len(densities) {
 		panic("fmm: DirectSumAt length mismatch")

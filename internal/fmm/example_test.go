@@ -22,24 +22,6 @@ func ExampleEvaluate() {
 	// leaves: 64
 }
 
-func ExampleEvaluateAt() {
-	sources := fmm.GeneratePoints(fmm.Plummer, 3000, 3)
-	dens := fmm.GenerateDensities(3000, 4)
-	probes := []fmm.Point{{X: 0.5, Y: 0.5, Z: 0.5}}
-	res, err := fmm.EvaluateAt(probes, sources, dens, fmm.Options{Q: 64})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	exact := fmm.DirectSumAt(probes, sources, dens, nil, 1)
-	rel := (res.Potentials[0] - exact[0]) / exact[0]
-	if rel < 0 {
-		rel = -rel
-	}
-	fmt.Println("probe matches direct sum to 1e-3:", rel < 1e-3)
-	// Output: probe matches direct sum to 1e-3: true
-}
-
 func ExampleSurfaceCount() {
 	fmt.Println(fmm.SurfaceCount(4), fmm.SurfaceCount(6))
 	// Output: 56 152

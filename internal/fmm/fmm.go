@@ -95,24 +95,6 @@ func Evaluate(points []Point, densities []float64, opt Options) (*Result, error)
 	return evaluateOnTree(tree, densities, opt)
 }
 
-// EvaluateAt computes the potentials at distinct target points x_i due to
-// distinct source points y_j with densities s_j — the general form of the
-// paper's Eq. 10.
-func EvaluateAt(targets, sources []Point, densities []float64, opt Options) (*Result, error) {
-	opt, err := opt.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if len(sources) != len(densities) {
-		return nil, fmt.Errorf("fmm: %d sources but %d densities", len(sources), len(densities))
-	}
-	tree, err := BuildDualTree(targets, sources, opt.Q, opt.MaxLevel)
-	if err != nil {
-		return nil, err
-	}
-	return evaluateOnTree(tree, densities, opt)
-}
-
 // newEngine prepares an engine over a listed tree with permuted
 // densities and warmed operators.
 func newEngine(tree *Tree, densities []float64, opt Options) *engine {
@@ -122,7 +104,7 @@ func newEngine(tree *Tree, densities []float64, opt Options) *engine {
 		opt:  opt,
 		ops:  newOperatorSet(opt.Kernel, opt.SurfaceOrder, tree.Nodes[tree.Root].Half),
 		dens: make([]float64, len(tree.Src)),
-		pot:  make([]float64, len(tree.Trg)),
+		pot:  make([]float64, len(tree.Src)),
 	}
 	for i, orig := range tree.SrcPerm {
 		e.dens[i] = densities[orig]
@@ -168,8 +150,8 @@ func (e *engine) runTreePasses() {
 // result packages the engine's potentials and counted profiles.
 func (e *engine) result() *Result {
 	tree := e.t
-	out := make([]float64, len(tree.Trg))
-	for i, orig := range tree.TrgPerm {
+	out := make([]float64, len(tree.Src))
+	for i, orig := range tree.SrcPerm {
 		out[orig] = e.pot[i]
 	}
 	nsurf := SurfaceCount(e.opt.SurfaceOrder)
@@ -430,7 +412,7 @@ func (e *engine) l2pPhase() {
 	e.parallelNodes(leaves, func(i int) {
 		n := &e.t.Nodes[i]
 		dePts := placeSurface(e.ops.unitSurf, n.Center, n.Half, checkRadius)
-		evalSum(e.opt.Kernel, e.t.Trg[n.TrgStart:n.TrgEnd], e.pot[n.TrgStart:n.TrgEnd], dePts, e.dnEquiv[i])
+		evalSum(e.opt.Kernel, e.t.Src[n.SrcStart:n.SrcEnd], e.pot[n.SrcStart:n.SrcEnd], dePts, e.dnEquiv[i])
 	})
 }
 
@@ -442,7 +424,7 @@ func (e *engine) wPhase() {
 		for _, w := range n.W {
 			a := &e.t.Nodes[w]
 			uePts := placeSurface(e.ops.unitSurf, a.Center, a.Half, equivRadius)
-			evalSum(e.opt.Kernel, e.t.Trg[n.TrgStart:n.TrgEnd], e.pot[n.TrgStart:n.TrgEnd], uePts, e.upEquiv[w])
+			evalSum(e.opt.Kernel, e.t.Src[n.SrcStart:n.SrcEnd], e.pot[n.SrcStart:n.SrcEnd], uePts, e.upEquiv[w])
 		}
 	})
 }
@@ -452,8 +434,8 @@ func (e *engine) uPhase() {
 	leaves := e.t.Leaves()
 	e.parallelNodes(leaves, func(i int) {
 		n := &e.t.Nodes[i]
-		targets := e.t.Trg[n.TrgStart:n.TrgEnd]
-		acc := e.pot[n.TrgStart:n.TrgEnd]
+		targets := e.t.Src[n.SrcStart:n.SrcEnd]
+		acc := e.pot[n.SrcStart:n.SrcEnd]
 		for _, u := range n.U {
 			a := &e.t.Nodes[u]
 			evalSum(e.opt.Kernel, targets, acc, e.t.Src[a.SrcStart:a.SrcEnd], e.dens[a.SrcStart:a.SrcEnd])

@@ -225,23 +225,11 @@ func TestEvaluateRejectsInvalidInput(t *testing.T) {
 		{"-Inf coordinate", func() (*Result, error) {
 			return Evaluate(with(0, Point{0, 0, -inf}), dens, Options{})
 		}, "fmm: source point 0 has non-finite coordinate"},
-		{"EvaluateAt non-finite source", func() (*Result, error) {
-			return EvaluateAt(pts, with(4, Point{nan, nan, nan}), dens, Options{})
-		}, "fmm: source point 4 has non-finite coordinate"},
-		{"EvaluateAt non-finite target", func() (*Result, error) {
-			return EvaluateAt(with(7, Point{0, inf, 0}), pts, dens, Options{})
-		}, "fmm: target point 7 has non-finite coordinate"},
 		{"surface order 1", func() (*Result, error) {
 			return Evaluate(pts, dens, Options{SurfaceOrder: 1})
 		}, "fmm: invalid surface order 1"},
 		{"surface order -1", func() (*Result, error) {
 			return Evaluate(pts, dens, Options{SurfaceOrder: -1})
-		}, "fmm: invalid surface order -1"},
-		{"EvaluateAt surface order 1", func() (*Result, error) {
-			return EvaluateAt(pts, pts, dens, Options{SurfaceOrder: 1})
-		}, "fmm: invalid surface order 1"},
-		{"EvaluateAt surface order -1", func() (*Result, error) {
-			return EvaluateAt(pts, pts, dens, Options{SurfaceOrder: -1})
 		}, "fmm: invalid surface order -1"},
 		{"NaN density propagates", func() (*Result, error) {
 			d := append([]float64(nil), dens...)

@@ -184,14 +184,13 @@ func countPhases(t *Tree, nsurf int, useFFT bool, surfaceOrder int) [NumPhases]t
 
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
-		nsrcLeaf := int64(n.NumSources())
-		ntrg := int64(n.NumTargets())
+		npts := int64(n.NumSources())
 
 		// UP phase.
 		if n.Leaf {
-			ts[PhaseUp].kernelEvals += nsrcLeaf * ns // P2M source -> check
-			ts[PhaseUp].matvecOps += ns2             // check -> equivalent
-			ts[PhaseUp].tileWords += nsrcLeaf * pointWords
+			ts[PhaseUp].kernelEvals += npts * ns // P2M source -> check
+			ts[PhaseUp].matvecOps += ns2         // check -> equivalent
+			ts[PhaseUp].tileWords += npts * pointWords
 			ts[PhaseUp].operandWords += ns * dpWords
 		} else {
 			for _, c := range n.Children {
@@ -238,8 +237,8 @@ func countPhases(t *Tree, nsurf int, useFFT bool, surfaceOrder int) [NumPhases]t
 			ts[PhaseDown].operandWords += ns * dpWords
 		}
 		if n.Leaf {
-			ts[PhaseDown].kernelEvals += ntrg * ns // L2P
-			ts[PhaseDown].streamWords += ntrg * (targetWords + dpWords)
+			ts[PhaseDown].kernelEvals += npts * ns // L2P
+			ts[PhaseDown].streamWords += npts * (targetWords + dpWords)
 		}
 
 		if !n.Leaf {
@@ -249,14 +248,14 @@ func countPhases(t *Tree, nsurf int, useFFT bool, surfaceOrder int) [NumPhases]t
 		// U phase: direct interactions against adjacent leaves.
 		for _, u := range n.U {
 			src := int64(t.Nodes[u].NumSources())
-			ts[PhaseU].kernelEvals += ntrg * src
+			ts[PhaseU].kernelEvals += npts * src
 			ts[PhaseU].tileWords += src * pointWords
 		}
-		ts[PhaseU].streamWords += ntrg * (targetWords + dpWords)
+		ts[PhaseU].streamWords += npts * (targetWords + dpWords)
 
 		// W phase: W-member equivalent densities evaluated at targets.
 		for range n.W {
-			ts[PhaseW].kernelEvals += ntrg * ns
+			ts[PhaseW].kernelEvals += npts * ns
 			ts[PhaseW].tileWords += ns * dpWords
 		}
 	}

@@ -59,7 +59,7 @@ func TestCountPhasesUMatchesListStructure(t *testing.T) {
 	for _, li := range tree.Leaves() {
 		n := &tree.Nodes[li]
 		for _, u := range n.U {
-			want += int64(n.NumTargets()) * int64(tree.Nodes[u].NumSources())
+			want += int64(n.NumSources()) * int64(tree.Nodes[u].NumSources())
 		}
 	}
 	if ts[PhaseU].kernelEvals != want {
@@ -71,16 +71,15 @@ func TestCountPhasesP2ML2PMatchPointCounts(t *testing.T) {
 	tree := buildListedTree(t, Uniform, 3000, 50, 6)
 	ns := int64(SurfaceCount(4))
 	ts := countPhases(tree, int(ns), false, 4)
-	var srcPts, trgPts int64
+	var pts int64
 	for _, li := range tree.Leaves() {
-		srcPts += int64(tree.Nodes[li].NumSources())
-		trgPts += int64(tree.Nodes[li].NumTargets())
+		pts += int64(tree.Nodes[li].NumSources())
 	}
-	if ts[PhaseUp].kernelEvals != srcPts*ns {
-		t.Errorf("P2M evals = %d, want %d", ts[PhaseUp].kernelEvals, srcPts*ns)
+	if ts[PhaseUp].kernelEvals != pts*ns {
+		t.Errorf("P2M evals = %d, want %d", ts[PhaseUp].kernelEvals, pts*ns)
 	}
-	if ts[PhaseDown].kernelEvals != trgPts*ns {
-		t.Errorf("L2P evals = %d, want %d", ts[PhaseDown].kernelEvals, trgPts*ns)
+	if ts[PhaseDown].kernelEvals != pts*ns {
+		t.Errorf("L2P evals = %d, want %d", ts[PhaseDown].kernelEvals, pts*ns)
 	}
 }
 

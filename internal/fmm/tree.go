@@ -20,12 +20,9 @@ type Node struct {
 	Octant   int     // this node's octant index within its parent
 	Leaf     bool
 
-	// SrcStart/SrcEnd delimit this node's source points in the tree's
-	// permuted source array; TrgStart/TrgEnd likewise for targets.
-	// Internal nodes cover the union of their children. When the tree is
-	// built over a single point set the two ranges coincide.
+	// SrcStart/SrcEnd delimit this node's points in the tree's permuted
+	// point array. Internal nodes cover the union of their children.
 	SrcStart, SrcEnd int
-	TrgStart, TrgEnd int
 
 	// Interaction lists (paper Fig. 3), as node indices. U and W are only
 	// populated for leaves; V for every node; X for nodes that appear in
@@ -33,60 +30,31 @@ type Node struct {
 	U, V, W, X []int32
 }
 
-// NumSources returns the number of source points in the node's subtree.
+// NumSources returns the number of points in the node's subtree.
 func (n *Node) NumSources() int { return n.SrcEnd - n.SrcStart }
 
-// NumTargets returns the number of target points in the node's subtree.
-func (n *Node) NumTargets() int { return n.TrgEnd - n.TrgStart }
-
-// Tree is an adaptive octree over a source and a target point set (the
-// paper's y_j and x_i of Eq. 10; they may be the same set). Points are
-// permuted so that each node owns contiguous ranges of both arrays.
+// Tree is an adaptive octree over one point set, acting as both the
+// sources y_j and the targets x_i of the paper's Eq. 10. Points are
+// permuted so that each node owns a contiguous range of the array.
 type Tree struct {
 	Nodes []Node
 
-	Src     []Point // permuted copy of the source points
-	SrcPerm []int   // Src[i] == original sources[SrcPerm[i]]
-	Trg     []Point // permuted copy of the target points
-	TrgPerm []int   // Trg[i] == original targets[TrgPerm[i]]
-
-	// Shared reports whether sources and targets are one set (Trg and
-	// TrgPerm alias Src and SrcPerm).
-	Shared bool
+	Src     []Point // permuted copy of the points
+	SrcPerm []int   // Src[i] == original points[SrcPerm[i]]
 
 	Root      int
-	MaxLeaf   int // the Q parameter: maximum points per leaf (per side)
+	MaxLeaf   int // the Q parameter: maximum points per leaf
 	MaxLevel  int
 	numLeaves int
 	maxDepth  int
 }
 
-// Points returns the permuted source array; Perm its permutation. These
-// accessors serve the common sources == targets case.
-func (t *Tree) Points() []Point { return t.Src }
-
-// Perm returns the source permutation (see Points).
-func (t *Tree) Perm() []int { return t.SrcPerm }
-
 // BuildTree constructs an adaptive octree over a single point set acting
 // as both sources and targets, splitting any box with more than q points
 // (the paper's Q parameter) until maxLevel.
 func BuildTree(pts []Point, q, maxLevel int) (*Tree, error) {
-	return buildTree(pts, nil, q, maxLevel, true)
-}
-
-// BuildDualTree constructs an adaptive octree over distinct source and
-// target sets. A box splits while either side holds more than q points.
-func BuildDualTree(targets, sources []Point, q, maxLevel int) (*Tree, error) {
-	return buildTree(sources, targets, q, maxLevel, false)
-}
-
-func buildTree(src, trg []Point, q, maxLevel int, shared bool) (*Tree, error) {
-	if len(src) == 0 {
+	if len(pts) == 0 {
 		return nil, fmt.Errorf("fmm: no source points")
-	}
-	if !shared && len(trg) == 0 {
-		return nil, fmt.Errorf("fmm: no target points")
 	}
 	if q < 1 {
 		return nil, fmt.Errorf("fmm: invalid leaf capacity Q=%d", q)
@@ -96,52 +64,34 @@ func buildTree(src, trg []Point, q, maxLevel int, shared bool) (*Tree, error) {
 	}
 	// A NaN or infinite coordinate would make the bounding cube
 	// non-finite and the tree degenerate into silent garbage.
-	if i := nonFinite(src); i >= 0 {
+	if i := nonFinite(pts); i >= 0 {
 		return nil, fmt.Errorf("fmm: source point %d has non-finite coordinate", i)
 	}
-	if i := nonFinite(trg); i >= 0 {
-		return nil, fmt.Errorf("fmm: target point %d has non-finite coordinate", i)
-	}
 
-	// Bounding cube over both sets, slightly padded so boundary points
-	// fall strictly inside.
-	lo, hi := src[0], src[0]
-	expand := func(pts []Point) {
-		for _, p := range pts {
-			lo.X = math.Min(lo.X, p.X)
-			lo.Y = math.Min(lo.Y, p.Y)
-			lo.Z = math.Min(lo.Z, p.Z)
-			hi.X = math.Max(hi.X, p.X)
-			hi.Y = math.Max(hi.Y, p.Y)
-			hi.Z = math.Max(hi.Z, p.Z)
-		}
-	}
-	expand(src)
-	if !shared {
-		expand(trg)
+	// Bounding cube, slightly padded so boundary points fall strictly
+	// inside.
+	lo, hi := pts[0], pts[0]
+	for _, p := range pts {
+		lo.X = math.Min(lo.X, p.X)
+		lo.Y = math.Min(lo.Y, p.Y)
+		lo.Z = math.Min(lo.Z, p.Z)
+		hi.X = math.Max(hi.X, p.X)
+		hi.Y = math.Max(hi.Y, p.Y)
+		hi.Z = math.Max(hi.Z, p.Z)
 	}
 	center := Point{(lo.X + hi.X) / 2, (lo.Y + hi.Y) / 2, (lo.Z + hi.Z) / 2}
 	half := math.Max(hi.X-lo.X, math.Max(hi.Y-lo.Y, hi.Z-lo.Z))/2*1.0001 + 1e-12
 
 	t := &Tree{
-		Src:      append([]Point(nil), src...),
-		SrcPerm:  identity(len(src)),
-		Shared:   shared,
+		Src:      append([]Point(nil), pts...),
+		SrcPerm:  identity(len(pts)),
 		MaxLeaf:  q,
 		MaxLevel: maxLevel,
-	}
-	if shared {
-		t.Trg = t.Src
-		t.TrgPerm = t.SrcPerm
-	} else {
-		t.Trg = append([]Point(nil), trg...)
-		t.TrgPerm = identity(len(trg))
 	}
 	t.Root = t.addNode(Node{
 		Center: center, Half: half, Level: 0,
 		Parent: nilNode, Octant: 0,
-		SrcStart: 0, SrcEnd: len(src),
-		TrgStart: 0, TrgEnd: len(t.Trg),
+		SrcStart: 0, SrcEnd: len(pts),
 	})
 	t.split(t.Root)
 	return t, nil
@@ -235,11 +185,11 @@ func partitionOctants(pts []Point, perm []int, start, end int, center Point) (of
 	return offsets, counts
 }
 
-// split recursively subdivides node i while either side holds more than
-// MaxLeaf points and the level budget allows.
+// split recursively subdivides node i while it holds more than MaxLeaf
+// points and the level budget allows.
 func (t *Tree) split(i int) {
 	n := &t.Nodes[i]
-	if (n.NumSources() <= t.MaxLeaf && n.NumTargets() <= t.MaxLeaf) || n.Level >= t.MaxLevel {
+	if n.NumSources() <= t.MaxLeaf || n.Level >= t.MaxLevel {
 		n.Leaf = true
 		t.numLeaves++
 		if n.Level > t.maxDepth {
@@ -249,15 +199,11 @@ func (t *Tree) split(i int) {
 	}
 	center := n.Center
 	srcOff, srcCnt := partitionOctants(t.Src, t.SrcPerm, n.SrcStart, n.SrcEnd, center)
-	trgOff, trgCnt := srcOff, srcCnt
-	if !t.Shared {
-		trgOff, trgCnt = partitionOctants(t.Trg, t.TrgPerm, n.TrgStart, n.TrgEnd, center)
-	}
 
 	level := n.Level
 	half := n.Half
 	for o := 0; o < 8; o++ {
-		if srcCnt[o] == 0 && trgCnt[o] == 0 {
+		if srcCnt[o] == 0 {
 			continue
 		}
 		child := t.addNode(Node{
@@ -267,7 +213,6 @@ func (t *Tree) split(i int) {
 			Parent:   i,
 			Octant:   o,
 			SrcStart: srcOff[o], SrcEnd: srcOff[o] + srcCnt[o],
-			TrgStart: trgOff[o], TrgEnd: trgOff[o] + trgCnt[o],
 		})
 		// n may have been invalidated by append; re-take via index.
 		t.Nodes[i].Children[o] = child
@@ -303,37 +248,28 @@ func adjacent(a, b *Node) bool {
 // Validate checks the structural invariants of the tree. It is exercised
 // by tests and usable as a debugging aid.
 func (t *Tree) Validate() error {
-	if err := t.validateSide("source", t.Src,
-		func(n *Node) (int, int) { return n.SrcStart, n.SrcEnd }); err != nil {
-		return err
-	}
-	return t.validateSide("target", t.Trg,
-		func(n *Node) (int, int) { return n.TrgStart, n.TrgEnd })
-}
-
-func (t *Tree) validateSide(side string, pts []Point, rng func(*Node) (int, int)) error {
-	seen := make([]bool, len(pts))
+	seen := make([]bool, len(t.Src))
 	for i := range t.Nodes {
 		n := &t.Nodes[i]
-		start, end := rng(n)
-		if start < 0 || end > len(pts) || start > end {
-			return fmt.Errorf("fmm: node %d has bad %s range [%d,%d)", i, side, start, end)
+		start, end := n.SrcStart, n.SrcEnd
+		if start < 0 || end > len(t.Src) || start > end {
+			return fmt.Errorf("fmm: node %d has bad source range [%d,%d)", i, start, end)
 		}
 		if n.Leaf {
 			if n.Level < t.MaxLevel && end-start > t.MaxLeaf {
-				return fmt.Errorf("fmm: leaf %d has %d %s points > Q=%d", i, end-start, side, t.MaxLeaf)
+				return fmt.Errorf("fmm: leaf %d has %d source points > Q=%d", i, end-start, t.MaxLeaf)
 			}
 			for p := start; p < end; p++ {
 				if seen[p] {
-					return fmt.Errorf("fmm: %s point %d in two leaves", side, p)
+					return fmt.Errorf("fmm: source point %d in two leaves", p)
 				}
 				seen[p] = true
 			}
 		}
 		// Every point must lie inside its node's box.
 		for p := start; p < end; p++ {
-			if pts[p].Sub(n.Center).MaxAbs() > n.Half*(1+1e-9) {
-				return fmt.Errorf("fmm: %s point %d outside node %d", side, p, i)
+			if t.Src[p].Sub(n.Center).MaxAbs() > n.Half*(1+1e-9) {
+				return fmt.Errorf("fmm: source point %d outside node %d", p, i)
 			}
 		}
 		// Children partition the parent's range.
@@ -347,17 +283,16 @@ func (t *Tree) validateSide(side string, pts []Point, rng func(*Node) (int, int)
 				if cn.Parent != i || cn.Level != n.Level+1 {
 					return fmt.Errorf("fmm: child %d of node %d has bad linkage", c, i)
 				}
-				cs, ce := rng(cn)
-				covered += ce - cs
+				covered += cn.NumSources()
 			}
 			if covered != end-start {
-				return fmt.Errorf("fmm: node %d children cover %d of %d %s points", i, covered, end-start, side)
+				return fmt.Errorf("fmm: node %d children cover %d of %d source points", i, covered, end-start)
 			}
 		}
 	}
 	for p, ok := range seen {
 		if !ok {
-			return fmt.Errorf("fmm: %s point %d not owned by any leaf", side, p)
+			return fmt.Errorf("fmm: source point %d not owned by any leaf", p)
 		}
 	}
 	return nil
