@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/units"
 )
@@ -179,25 +178,4 @@ func MachineFor(opsPerCycle, wordsPerCycle units.PerCycle, s dvfs.Setting) Machi
 		OpsPerSec:   units.OpsPerSecond(float64(opsPerCycle) * float64(s.Core.FreqHz())),
 		WordsPerSec: units.WordsPerSecond(float64(wordsPerCycle) * float64(s.Mem.FreqHz())),
 	}
-}
-
-// ProfileIntensity returns a profile's arithmetic intensity with respect
-// to one op class: class operations per DRAM word. It returns +Inf for
-// profiles without DRAM traffic.
-func ProfileIntensity(c OpClass, p counters.Profile) units.OpsPerWord {
-	var ops float64
-	switch c {
-	case ClassSP:
-		ops = p.SP
-	case ClassDP:
-		ops = p.DPFMA + p.DPAdd + p.DPMul
-	case ClassInt:
-		ops = p.Int
-	default:
-		panic(fmt.Sprintf("core: unknown op class %d", int(c)))
-	}
-	if p.DRAMWords == 0 {
-		return units.OpsPerWord(math.Inf(1))
-	}
-	return units.OpsPerWord(ops / p.DRAMWords)
 }

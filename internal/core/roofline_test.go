@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/tegra"
 	"dvfsroofline/internal/units"
@@ -153,22 +152,6 @@ func TestRooflinePanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestProfileIntensity(t *testing.T) {
-	p := counters.Profile{DPFMA: 100, DPAdd: 50, DPMul: 50, SP: 10, Int: 400, DRAMWords: 20}
-	if got := ProfileIntensity(ClassDP, p); got != 10 {
-		t.Errorf("DP intensity = %v, want 10", got)
-	}
-	if got := ProfileIntensity(ClassSP, p); got != 0.5 {
-		t.Errorf("SP intensity = %v, want 0.5", got)
-	}
-	if got := ProfileIntensity(ClassInt, p); got != 20 {
-		t.Errorf("Int intensity = %v, want 20", got)
-	}
-	if !math.IsInf(float64(ProfileIntensity(ClassDP, counters.Profile{DPFMA: 1})), 1) {
-		t.Error("intensity without DRAM traffic should be +Inf")
 	}
 }
 

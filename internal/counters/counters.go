@@ -181,10 +181,6 @@ func (p Profile) Instructions() float64 {
 	return p.DPFMA + p.DPAdd + p.DPMul + p.SP + p.Int
 }
 
-// DPFlops returns the double-precision flop count, with FMA counted as
-// two flops.
-func (p Profile) DPFlops() float64 { return 2*p.DPFMA + p.DPAdd + p.DPMul }
-
 // Accesses returns the total word traffic across all hierarchy levels.
 func (p Profile) Accesses() float64 {
 	return p.SharedWords + p.L1Words + p.L2Words + p.DRAMWords

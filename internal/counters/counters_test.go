@@ -165,9 +165,6 @@ func TestProfileDerivedQuantities(t *testing.T) {
 	if got := p.Instructions(); got != 50 {
 		t.Errorf("Instructions = %v, want 50", got)
 	}
-	if got := p.DPFlops(); got != 30 { // 2*10 + 5 + 5
-		t.Errorf("DPFlops = %v, want 30", got)
-	}
 	if got := p.Accesses(); got != 100 {
 		t.Errorf("Accesses = %v, want 100", got)
 	}

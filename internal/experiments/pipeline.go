@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the experiment layer's concurrency substrate. Every
-// pipelined experiment (Calibrate, Autotune, Figure5, RunFMMInputs,
-// TuneQ, the sweeps) fans its independent units of work out through
+// pipelined experiment (Calibrate, Autotune, Figure5, RunFMMInputs and
+// the sweeps) fans its independent units of work out through
 // forEach, a progress-reporting wrapper around par.For, and writes
 // results into pre-indexed slots, so the outcome is byte-identical for
 // any worker count; par.For's lowest-index rule makes a failing run's
@@ -19,7 +19,7 @@ import (
 
 // Progress is one pipeline progress update.
 type Progress struct {
-	Stage string // e.g. "calibrate", "autotune", "fmm", "figure5", "tuneq"
+	Stage string // e.g. "calibrate", "autotune", "fmm", "figure5"
 	Done  int    // units completed so far
 	Total int    // total units in this stage
 }

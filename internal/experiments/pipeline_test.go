@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dvfsroofline/internal/core"
-	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/tegra"
 )
 
@@ -230,35 +229,6 @@ func TestScaleInputsClamp(t *testing.T) {
 	for _, in := range scaled {
 		if in.N <= in.Q {
 			t.Errorf("%s: scaled N=%d <= Q=%d (degenerate octree)", in.ID, in.N, in.Q)
-		}
-	}
-}
-
-// TestTuneQWorkerInvariant: the Q sweep fans out per candidate and must
-// not depend on the worker count either.
-func TestTuneQWorkerInvariant(t *testing.T) {
-	dev, cal := calibrate(t)
-	serial := testConfig()
-	serial.Workers = 1
-	parallel := testConfig()
-	parallel.Workers = 4
-
-	qs := []int{32, 64, 128}
-	s := dvfs.MaxSetting()
-	r1, err := TuneQ(context.Background(), dev, cal.Model, serial, 16384, qs, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := TuneQ(context.Background(), dev, cal.Model, parallel, 16384, qs, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Candidates) != len(r4.Candidates) {
-		t.Fatalf("candidate counts differ: %d vs %d", len(r1.Candidates), len(r4.Candidates))
-	}
-	for i := range r1.Candidates {
-		if r1.Candidates[i] != r4.Candidates[i] {
-			t.Errorf("Q candidate %d differs between worker counts", i)
 		}
 	}
 }

@@ -148,25 +148,6 @@ func bluestein(x []complex128, inverse bool) {
 	}
 }
 
-// Convolve returns the cyclic convolution of a and b, which must have the
-// same length n: out[k] = sum_j a[j]*b[(k-j) mod n].
-func Convolve(a, b []complex128) []complex128 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("fft: Convolve length mismatch %d vs %d", len(a), len(b)))
-	}
-	n := len(a)
-	fa := append([]complex128(nil), a...)
-	fb := append([]complex128(nil), b...)
-	Forward(fa)
-	Forward(fb)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	Inverse(fa)
-	_ = n
-	return fa
-}
-
 // Dim3 describes the extents of a 3-D array stored in row-major order
 // with index (i, j, k) at position (i*Ny+j)*Nz+k.
 type Dim3 struct {
@@ -231,23 +212,6 @@ func transformLanes(x []complex128, n, stride, lanes, laneStride int, inverse bo
 			x[off+j*stride] = v
 		}
 	}
-}
-
-// Convolve3 returns the cyclic 3-D convolution of a and b (both with
-// extents d): out[p] = sum_q a[q]*b[(p-q) mod d].
-func Convolve3(a, b []complex128, d Dim3) []complex128 {
-	if len(a) != d.Len() || len(b) != d.Len() {
-		panic("fft: Convolve3 length mismatch")
-	}
-	fa := append([]complex128(nil), a...)
-	fb := append([]complex128(nil), b...)
-	Forward3(fa, d)
-	Forward3(fb, d)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	Inverse3(fa, d)
-	return fa
 }
 
 // FlopEstimate returns the standard 5*n*log2(n) floating-point operation

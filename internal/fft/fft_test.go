@@ -143,33 +143,6 @@ func TestLinearityProperty(t *testing.T) {
 	}
 }
 
-func TestConvolveMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 5, 8, 9, 16} {
-		a := randComplex(rng, n)
-		b := randComplex(rng, n)
-		got := Convolve(a, b)
-		for k := 0; k < n; k++ {
-			var want complex128
-			for j := 0; j < n; j++ {
-				want += a[j] * b[((k-j)%n+n)%n]
-			}
-			if cmplx.Abs(got[k]-want) > 1e-9 {
-				t.Errorf("n=%d k=%d: conv = %v, want %v", n, k, got[k], want)
-			}
-		}
-	}
-}
-
-func TestConvolveLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Convolve(make([]complex128, 3), make([]complex128, 4))
-}
-
 func TestForward3MatchesSeparableNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d := Dim3{Nx: 3, Ny: 4, Nz: 5}
@@ -206,34 +179,6 @@ func TestRoundTrip3(t *testing.T) {
 		Inverse3(y, d)
 		if diff := maxDiff(x, y); diff > 1e-9 {
 			t.Errorf("dims %v: 3-D round trip error %v", d, diff)
-		}
-	}
-}
-
-func TestConvolve3MatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	d := Dim3{Nx: 3, Ny: 2, Nz: 4}
-	a := randComplex(rng, d.Len())
-	b := randComplex(rng, d.Len())
-	got := Convolve3(a, b, d)
-	for i := 0; i < d.Nx; i++ {
-		for j := 0; j < d.Ny; j++ {
-			for k := 0; k < d.Nz; k++ {
-				var want complex128
-				for p := 0; p < d.Nx; p++ {
-					for q := 0; q < d.Ny; q++ {
-						for r := 0; r < d.Nz; r++ {
-							ii := ((i-p)%d.Nx + d.Nx) % d.Nx
-							jj := ((j-q)%d.Ny + d.Ny) % d.Ny
-							kk := ((k-r)%d.Nz + d.Nz) % d.Nz
-							want += a[d.Index(p, q, r)] * b[d.Index(ii, jj, kk)]
-						}
-					}
-				}
-				if cmplx.Abs(got[d.Index(i, j, k)]-want) > 1e-9 {
-					t.Fatalf("3-D convolution mismatch at (%d,%d,%d)", i, j, k)
-				}
-			}
 		}
 	}
 }

@@ -33,11 +33,6 @@ func (p Point) MaxAbs() float64 {
 	return math.Max(math.Abs(p.X), math.Max(math.Abs(p.Y), math.Abs(p.Z)))
 }
 
-// Norm returns the Euclidean norm of p.
-func (p Point) Norm() float64 {
-	return math.Sqrt(p.X*p.X + p.Y*p.Y + p.Z*p.Z)
-}
-
 // Distribution selects a synthetic point distribution for experiments.
 type Distribution int
 

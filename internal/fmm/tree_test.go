@@ -197,7 +197,4 @@ func TestPointArithmetic(t *testing.T) {
 	if (Point{-3, 2, 1}).MaxAbs() != 3 {
 		t.Error("MaxAbs wrong")
 	}
-	if math.Abs((Point{3, 4, 0}).Norm()-5) > 1e-15 {
-		t.Error("Norm wrong")
-	}
 }

@@ -212,38 +212,6 @@ func TestQRRankDeficient(t *testing.T) {
 	}
 }
 
-func TestCholeskyRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// Build SPD matrix A = BᵀB + I.
-	b := randomMatrix(rng, 6, 6)
-	a := Add(Mul(b.T(), b), Identity(6))
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	llt := Mul(l, l.T())
-	for i := range a.Data {
-		if !approxEq(llt.Data[i], a.Data[i], 1e-10) {
-			t.Fatalf("L*Lᵀ != A at %d: %v vs %v", i, llt.Data[i], a.Data[i])
-		}
-	}
-	want := []float64{1, 2, 3, 4, 5, 6}
-	rhs := a.MulVec(want)
-	x := CholeskySolve(l, rhs)
-	for i := range want {
-		if !approxEq(x[i], want[i], 1e-9) {
-			t.Errorf("CholeskySolve x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestCholeskyNotSPD(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // indefinite
-	if _, err := Cholesky(a); err == nil {
-		t.Error("expected error for non-SPD matrix")
-	}
-}
-
 func TestSVDReconstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, dims := range [][2]int{{5, 3}, {3, 5}, {4, 4}, {8, 2}, {1, 1}} {
@@ -344,14 +312,6 @@ func TestPseudoInverseTruncation(t *testing.T) {
 	}
 }
 
-func TestCond2(t *testing.T) {
-	a := FromRows([][]float64{{10, 0}, {0, 0.1}})
-	d := FactorSVD(a)
-	if !approxEq(d.Cond2(), 100, 1e-10) {
-		t.Errorf("Cond2 = %v, want 100", d.Cond2())
-	}
-}
-
 func TestFromRowsPanicsOnRagged(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -365,11 +325,10 @@ func TestDimensionPanics(t *testing.T) {
 	a := NewMatrix(2, 3)
 	b := NewMatrix(2, 3)
 	for name, fn := range map[string]func(){
-		"Mul":      func() { Mul(a, b) },
-		"MulVec":   func() { a.MulVec([]float64{1}) },
-		"Dot":      func() { Dot([]float64{1}, []float64{1, 2}) },
-		"NewBad":   func() { NewMatrix(0, 3) },
-		"Cholesky": func() { Cholesky(a) },
+		"Mul":    func() { Mul(a, b) },
+		"MulVec": func() { a.MulVec([]float64{1}) },
+		"Dot":    func() { Dot([]float64{1}, []float64{1, 2}) },
+		"NewBad": func() { NewMatrix(0, 3) },
 	} {
 		func() {
 			defer func() {

@@ -1,8 +1,8 @@
 // Package linalg implements the small dense linear algebra kernel the
 // reproduction needs: matrix/vector arithmetic, Householder QR for least
-// squares (used by the NNLS solver), Cholesky factorization, a one-sided
-// Jacobi SVD, and truncated pseudo-inverses (used to build the KIFMM
-// equivalent-density operators). Matrices are row-major and small in at
+// squares (used by the NNLS solver), a one-sided Jacobi SVD, and
+// truncated pseudo-inverses (used to build the KIFMM equivalent-density
+// operators). Matrices are row-major and small in at
 // least one dimension — a few hundred rows/columns for the KIFMM
 // operators, a couple of thousand rows by nine columns for the NNLS
 // calibration fit — so the implementation favors clarity and numerical

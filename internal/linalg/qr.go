@@ -70,9 +70,6 @@ func FactorQRInPlace(a *Matrix) *QR {
 	return f
 }
 
-// RDiag returns the k-th diagonal element of R.
-func (f *QR) RDiag(k int) float64 { return f.rdiag[k] }
-
 // FullRank reports whether every diagonal element of R is meaningfully
 // non-zero relative to the largest one.
 func (f *QR) FullRank() bool {
@@ -135,60 +132,4 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 // modified; it factors a copy of a (see FactorQRInPlace to avoid it).
 func SolveLS(a *Matrix, b []float64) ([]float64, error) {
 	return FactorQR(a).Solve(b)
-}
-
-// Cholesky computes the lower-triangular factor L with a = L*Lᵀ for a
-// symmetric positive-definite matrix. It returns ErrRankDeficient when a
-// pivot is not strictly positive.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		panic("linalg: Cholesky requires a square matrix")
-	}
-	n := a.Rows
-	l := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
-		}
-		if d <= 0 {
-			return nil, ErrRankDeficient
-		}
-		l.Set(j, j, math.Sqrt(d))
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, s/l.At(j, j))
-		}
-	}
-	return l, nil
-}
-
-// CholeskySolve solves a*x = b given the Cholesky factor L of a.
-func CholeskySolve(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	if len(b) != n {
-		panic("linalg: CholeskySolve dimension mismatch")
-	}
-	// Forward: L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= l.At(i, j) * y[j]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Backward: Lᵀ x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= l.At(j, i) * x[j]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x
 }

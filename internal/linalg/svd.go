@@ -180,17 +180,3 @@ func (d *SVD) PseudoInverse(rcond float64) *Matrix {
 func PseudoInverse(a *Matrix, rcond float64) *Matrix {
 	return FactorSVD(a).PseudoInverse(rcond)
 }
-
-// Cond2 returns the 2-norm condition number estimate from the SVD
-// (largest over smallest non-zero singular value). It returns +Inf when
-// the matrix is singular to working precision.
-func (d *SVD) Cond2() float64 {
-	if len(d.S) == 0 || d.S[0] == 0 {
-		return math.Inf(1)
-	}
-	smin := d.S[len(d.S)-1]
-	if smin == 0 {
-		return math.Inf(1)
-	}
-	return d.S[0] / smin
-}

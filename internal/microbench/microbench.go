@@ -341,16 +341,11 @@ func (r *Runner) SizeFor(b Benchmark, s dvfs.Setting, target float64) float64 {
 	return 1e6 * target / float64(probe.Time)
 }
 
-// RunSized executes and measures a benchmark with a fixed element count.
-// Autotuning sweeps use it so that every DVFS setting runs the *same*
-// work — energies are only comparable at equal work.
-func (r *Runner) RunSized(b Benchmark, elements float64, s dvfs.Setting) (Sample, error) {
-	return r.RunSizedAttempt(b, elements, s, 0)
-}
-
-// RunSizedAttempt is RunSized for one retry attempt: Measure keyed on
-// the sample's identity (SampleSeed). The run is never repeated; it is
-// sized to fill the measurement window.
+// RunSizedAttempt executes and measures a benchmark with a fixed element
+// count, for one retry attempt. Autotuning sweeps use it so that every
+// DVFS setting runs the *same* work — energies are only comparable at
+// equal work. Measure is keyed on the sample's identity (SampleSeed).
+// The run is never repeated; it is sized to fill the measurement window.
 func (r *Runner) RunSizedAttempt(b Benchmark, elements float64, s dvfs.Setting, attempt int) (Sample, error) {
 	exec := r.Device.Execute(b.Workload(elements), s)
 	energy, err := Measure(exec, r.MeterConfig, r.Faults, SampleSeed(r.Seed, b, s), attempt, false)

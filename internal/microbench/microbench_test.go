@@ -226,20 +226,20 @@ func TestSizeForHitsTarget(t *testing.T) {
 
 func TestRunSizedKeepsWorkloadFixed(t *testing.T) {
 	// The same element count at two settings must yield identical
-	// operation profiles (that is the point of RunSized).
+	// operation profiles (that is the point of RunSizedAttempt).
 	r := &Runner{Device: tegra.NewDevice(), Seed: 10}
 	b := Benchmark{Kind: L2, Intensity: 16}
 	const elements = 5e7
-	a, err := r.RunSized(b, elements, dvfs.MaxSetting())
+	a, err := r.RunSizedAttempt(b, elements, dvfs.MaxSetting(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := r.RunSized(b, elements, dvfs.MustSetting(396, 204))
+	c, err := r.RunSizedAttempt(b, elements, dvfs.MustSetting(396, 204), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Workload.Profile != c.Workload.Profile {
-		t.Error("RunSized changed the workload across settings")
+		t.Error("RunSizedAttempt changed the workload across settings")
 	}
 	if c.Time <= a.Time {
 		t.Error("slower setting did not take longer for the same work")
@@ -250,7 +250,7 @@ func TestRunSizedTooSmallErrors(t *testing.T) {
 	// A microscopic workload finishes between meter samples and cannot
 	// be measured.
 	r := &Runner{Device: tegra.NewDevice(), Seed: 11}
-	if _, err := r.RunSized(Benchmark{Kind: Single, Intensity: 1}, 10, dvfs.MaxSetting()); err == nil {
+	if _, err := r.RunSizedAttempt(Benchmark{Kind: Single, Intensity: 1}, 10, dvfs.MaxSetting(), 0); err == nil {
 		t.Error("unmeasurably short run accepted")
 	}
 }
