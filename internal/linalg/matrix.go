@@ -133,27 +133,6 @@ func (m *Matrix) MulVecTo(dst, x []float64) {
 	}
 }
 
-// Add returns a+b. It panics on shape mismatch.
-func Add(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("linalg: Add shape mismatch")
-	}
-	c := a.Clone()
-	for i, v := range b.Data {
-		c.Data[i] += v
-	}
-	return c
-}
-
-// Scale returns s*m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	c := m.Clone()
-	for i := range c.Data {
-		c.Data[i] *= s
-	}
-	return c
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

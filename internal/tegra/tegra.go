@@ -341,11 +341,6 @@ func (d *Device) TrueBreakdown(e Execution) Breakdown {
 	}
 }
 
-// PeakIPC returns the device's peak instructions per cycle for a pure-SP
-// instruction stream; exposed for the underutilization analysis of the
-// paper's §IV-C.
-func PeakIPC() units.PerCycle { return SPPerCycle }
-
 // mixJitter maps a workload's op-mix ratios to a deterministic
 // pseudo-random value in [-1, 1]. Workloads with the same mix always get
 // the same value (it is a property of the kernel, not of the run), and
