@@ -35,6 +35,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"os"
@@ -67,6 +68,12 @@ func main() {
 	driftSlack := flag.Float64("drift-slack", 0.05, "per-observation relative residual absorbed before drift accumulates")
 	driftWindow := flag.Int("drift-window", 32, "sweep candidates folded into the drift statistic per observation")
 	app.Parse()
+	drift, err := driftConfig(*driftWindow, *driftSlack, *driftThreshold)
+	if err != nil {
+		fmt.Fprintf(flag.CommandLine.Output(), "energyd: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -103,15 +110,9 @@ func main() {
 			}
 			opts.DrainDeadline = *drainDeadline
 		}
-		if *driftThreshold > 0 {
-			opts.Drift = &fleet.DriftConfig{
-				Window:    *driftWindow,
-				Slack:     units.Ratio(*driftSlack),
-				Threshold: units.Ratio(*driftThreshold),
-			}
-		}
+		opts.Drift = drift
 		s = serve.NewFleet(reg, opts)
-		log.Printf("fleet ready: %d devices (admin=%v, drift=%v)", len(reg.Nodes()), *admin, *driftThreshold > 0)
+		log.Printf("fleet ready: %d devices (admin=%v, drift=%v)", len(reg.Nodes()), *admin, drift != nil)
 		if *healthInterval > 0 {
 			health := fleet.NewHealth(reg, fleet.HealthConfig{
 				QuarantineAfter: *quarantineAfter,
@@ -161,4 +162,28 @@ func main() {
 		cancel()
 	}
 	log.Printf("drained, bye")
+}
+
+// driftConfig builds the drift watchdog's tuning from the -drift-* flags.
+// It returns nil when -drift-threshold is 0, which disables the
+// watchdog, and an error naming the first flag that fails
+// fleet.DriftConfig.Validate.
+func driftConfig(window int, slack, threshold float64) (*fleet.DriftConfig, error) {
+	cfg := fleet.DriftConfig{Window: window, Slack: units.Ratio(slack), Threshold: units.Ratio(threshold)}
+	for _, f := range []struct {
+		flag string
+		cfg  fleet.DriftConfig
+	}{
+		{"-drift-window", fleet.DriftConfig{Window: cfg.Window}},
+		{"-drift-slack", fleet.DriftConfig{Slack: cfg.Slack}},
+		{"-drift-threshold", fleet.DriftConfig{Threshold: cfg.Threshold}},
+	} {
+		if err := f.cfg.Validate(); err != nil {
+			return nil, fmt.Errorf("invalid %s: %w", f.flag, err)
+		}
+	}
+	if threshold == 0 {
+		return nil, nil
+	}
+	return &cfg, nil
 }

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dvfsroofline/internal/cli"
@@ -76,5 +78,41 @@ func TestFleetConfigBoots(t *testing.T) {
 	}
 	if n, ok := reg.Get("tk1-lowpower-sku"); !ok || len(n.Grids["full"]) >= len(dvfs.Grid()) {
 		t.Error("tk1-lowpower-sku's DVFS bounds did not trim its full grid")
+	}
+}
+
+// TestDriftFlagsRejectBadTuning: a NaN slack holds the CUSUM at NaN and
+// an infinite slack or threshold can never be crossed, so each would
+// leave a watchdog that never fires. energyd refuses them at startup,
+// naming the flag.
+func TestDriftFlagsRejectBadTuning(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		window           int
+		slack, threshold float64
+		flag             string
+	}{
+		{32, nan, 0.75, "-drift-slack"},
+		{32, inf, 0.75, "-drift-slack"},
+		{32, -0.1, 0.75, "-drift-slack"},
+		{32, 0.05, inf, "-drift-threshold"},
+		{32, 0.05, -inf, "-drift-threshold"},
+		{32, 0.05, nan, "-drift-threshold"},
+		{-1, 0.05, 0.75, "-drift-window"},
+		// A bad slack is refused even with the watchdog disabled.
+		{32, nan, 0, "-drift-slack"},
+	} {
+		cfg, err := driftConfig(tc.window, tc.slack, tc.threshold)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("driftConfig(%d, %g, %g) = %+v, %v; want an error naming %s",
+				tc.window, tc.slack, tc.threshold, cfg, err, tc.flag)
+		}
+	}
+	if cfg, err := driftConfig(32, 0.05, 0); cfg != nil || err != nil {
+		t.Errorf("threshold 0 = %+v, %v; want the watchdog disabled", cfg, err)
+	}
+	cfg, err := driftConfig(0, 0, 0.75)
+	if err != nil || cfg == nil || cfg.Threshold != 0.75 {
+		t.Errorf("default window and slack = %+v, %v; want an enabled watchdog", cfg, err)
 	}
 }

@@ -99,6 +99,8 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"fleet.FleetConfig", func() any {
 			return &fleet.FleetConfig{Devices: []fleet.Spec{{ID: "d", Params: fleet.ParamsJSON{SPpJ: 1}, MinCoreMHz: 1, MaxCoreMHz: 1e4, MinMemMHz: 1, MaxMemMHz: 1e4}}}
 		}, func(v any) error { return v.(*fleet.FleetConfig).Validate() }, nil},
+		{"fleet.DriftConfig", func() any { return &fleet.DriftConfig{Window: 32, Slack: 0.05, Threshold: 0.75} },
+			func(v any) error { return v.(*fleet.DriftConfig).Validate() }, nil},
 	}
 	for _, tc := range cases {
 		if err := tc.validate(tc.valid()); err != nil {

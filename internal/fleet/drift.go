@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync"
 
 	"dvfsroofline/internal/core"
@@ -45,6 +47,26 @@ type DriftConfig struct {
 	// statistic. Zero selects 1.0 — e.g. twenty observations biased 10%
 	// past slack, or a few grossly-throttled ones.
 	Threshold units.Ratio
+}
+
+// Validate rejects a negative window and a negative, NaN or infinite
+// slack or threshold; zero still selects each field's default. A NaN
+// slack would hold the CUSUM at NaN and an infinite threshold could
+// never be crossed, so either would leave a watchdog that never fires.
+func (c DriftConfig) Validate() error {
+	if c.Window < 0 {
+		return fmt.Errorf("fleet: drift window %d is negative", c.Window)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"slack", float64(c.Slack)}, {"threshold", float64(c.Threshold)}} {
+		// Negated so that NaN, which fails every comparison, is rejected.
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("fleet: drift %s %g must be finite and non-negative", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (c DriftConfig) window() int {
