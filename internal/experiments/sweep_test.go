@@ -243,6 +243,44 @@ func BenchmarkSweepWorkload(b *testing.B) {
 	run("workers=2", 2, sweepGrid())
 }
 
-// candidateSink keeps BenchmarkSweepWorkload's sweeps observable to the
+// BenchmarkSweepTargets is one fleet placement sweep: three devices on
+// the 16-setting calibration grid through SweepTargets' shared pool, the
+// reference TK1 and two custom variants of its parameters, each with its
+// own seed. It runs at one worker and on a two-worker pool; as with
+// BenchmarkSweepWorkload, the workers=2 case is gated under -cpu 2.
+func BenchmarkSweepTargets(b *testing.B) {
+	hot := tegra.TK1Params()
+	hot.DRAMpJ, hot.LeakProcWpV, hot.ThermalSlope = 401, 3.55, 0.09
+	low := tegra.TK1Params()
+	low.SPpJ, low.IntpJ, low.MiscW = 22.1, 48, 0.11
+	targets := []SweepTarget{{Dev: tegra.NewDevice(), Cfg: Config{Seed: 7}, Grid: sweepGrid()}}
+	for i, p := range []tegra.DeviceParams{hot, low} {
+		dev, err := tegra.NewCustomDevice(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		targets = append(targets, SweepTarget{Dev: dev, Cfg: Config{Seed: int64(8 + i)}, Grid: sweepGrid()})
+	}
+	for _, workers := range []int{1, 2} {
+		pool := Config{Workers: workers}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := SweepTargets(context.Background(), pool, sweepWorkload(), targets)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, ts := range out {
+					if ts.Err != nil {
+						b.Fatal(ts.Err)
+					}
+				}
+				candidateSink = out[0].Candidates
+			}
+		})
+	}
+}
+
+// candidateSink keeps the sweep benchmarks' results observable to the
 // compiler.
 var candidateSink []core.Candidate
