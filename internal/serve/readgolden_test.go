@@ -17,7 +17,7 @@ import (
 	"dvfsroofline/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden read-endpoint bodies under testdata/")
+var update = flag.Bool("update", false, "rewrite the golden read-endpoint and reply transcripts under testdata/")
 
 // readEndpoints are the uninstrumented and instrumented GET surfaces an
 // operator or the replay harness polls; their bodies are pinned byte for
@@ -51,9 +51,9 @@ func (r *readTranscript) expect(code int, path, body string) {
 	}
 }
 
-// checkReadGolden compares a transcript against its checked-in golden
+// checkGolden compares a transcript against its checked-in golden
 // file, or rewrites the file under -update.
-func checkReadGolden(t *testing.T, name string, got []byte) {
+func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
 	if *update {
@@ -67,7 +67,7 @@ func checkReadGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("%v (regenerate with go test -run %s -update)", err, t.Name())
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("read-endpoint bodies differ from %s (regenerate with -update only for an intended change):\n--- got\n%s", path, got)
+		t.Fatalf("bodies differ from %s (regenerate with -update only for an intended change):\n--- got\n%s", path, got)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestReadEndpointsGoldenLegacy(t *testing.T) {
 	r.expect(http.StatusServiceUnavailable, "/v1/autotune", goldenUncached)
 	r.capture("breaker-open")
 
-	checkReadGolden(t, "read_legacy.golden", r.buf.Bytes())
+	checkGolden(t, "read_legacy.golden", r.buf.Bytes())
 }
 
 // TestReadEndpointsGoldenFleet pins the same bodies for the 3-device
@@ -149,5 +149,5 @@ func TestReadEndpointsGoldenFleet(t *testing.T) {
 	}
 	r.capture("evicted")
 
-	checkReadGolden(t, "read_fleet.golden", r.buf.Bytes())
+	checkGolden(t, "read_fleet.golden", r.buf.Bytes())
 }
