@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,10 +62,18 @@ func soakServer(t *testing.T, clk *workload.StepClock) *serve.Server {
 
 func replaySoak(t *testing.T) []byte {
 	t.Helper()
+	return replaySoakVia(t, func(h http.Handler) workload.Target { return workload.HandlerTarget{Handler: h} })
+}
+
+// replaySoakVia replays the soak trace in sync mode against a fresh
+// soak server, reached through the target that via builds around its
+// handler, and returns the report.
+func replaySoakVia(t *testing.T, via func(http.Handler) workload.Target) []byte {
+	t.Helper()
 	tr := readSoakTrace(t)
 	clk := workload.NewStepClock(time.Millisecond)
 	srv := soakServer(t, clk)
-	rep, err := workload.Replay(context.Background(), tr, workload.HandlerTarget{Handler: srv.Handler()},
+	rep, err := workload.Replay(context.Background(), tr, via(srv.Handler()),
 		workload.ReplayOptions{Mode: workload.ModeSync, Now: clk.Now})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
@@ -81,6 +91,21 @@ func TestSoakReplayByteIdentical(t *testing.T) {
 	a, b := replaySoak(t), replaySoak(t)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two replays against identically-seeded servers differ:\n--- a\n%s\n--- b\n%s", a, b)
+	}
+}
+
+// TestSoakReplayHTTPTarget replays the soak trace through HTTPTarget,
+// over a real listener, and requires the in-process report byte for
+// byte: the HTTP client must carry every status, device header and body
+// the handler wrote, and the /v1/stats reconciliation must agree.
+func TestSoakReplayHTTPTarget(t *testing.T) {
+	got := replaySoakVia(t, func(h http.Handler) workload.Target {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return workload.HTTPTarget{Base: ts.URL, Client: ts.Client()}
+	})
+	if want := replaySoak(t); !bytes.Equal(got, want) {
+		t.Fatalf("HTTP replay report differs from the in-process one:\n--- http\n%s\n--- in-process\n%s", got, want)
 	}
 }
 
