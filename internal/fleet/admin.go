@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"dvfsroofline/internal/experiments"
@@ -34,9 +32,7 @@ type Admin struct {
 // returned. This is the admin add-device request body.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("fleet: parsing device spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

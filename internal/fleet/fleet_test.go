@@ -130,6 +130,33 @@ func TestParseConfigRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestParseRejectsTrailingInput holds both spec decoders to exactly one
+// JSON value: stray text or a second value after the first is an error,
+// not silently ignored, while trailing whitespace is fine.
+func TestParseRejectsTrailingInput(t *testing.T) {
+	const spec = `{"id": "a"}`
+	const config = `{"devices": [{"id": "a"}]}`
+	for name, tail := range map[string]string{
+		"text":         ` trailing`,
+		"second value": ` {"id": "b"}`,
+		"number":       `1`,
+		"closing":      `]`,
+	} {
+		if _, err := ParseSpec([]byte(spec + tail)); err == nil {
+			t.Errorf("%s: ParseSpec accepted %s", name, spec+tail)
+		}
+		if _, err := ParseConfig([]byte(config + tail)); err == nil {
+			t.Errorf("%s: ParseConfig accepted %s", name, config+tail)
+		}
+	}
+	if _, err := ParseSpec([]byte(spec + " \n\t")); err != nil {
+		t.Errorf("ParseSpec rejected trailing whitespace: %v", err)
+	}
+	if _, err := ParseConfig([]byte(config + "\n")); err != nil {
+		t.Errorf("ParseConfig rejected trailing whitespace: %v", err)
+	}
+}
+
 func TestLoadConfigResolvesRelativeCachePaths(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "fleet.json")

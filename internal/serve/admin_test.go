@@ -289,6 +289,8 @@ func FuzzFleetSpec(f *testing.F) {
 		`{"id": "tk1-a"}`,
 		`{"id": "x", "calibration_cache": "/nope.csv"}`,
 		`[{"id": "x"}]`,
+		`{"id": "tk1-new"} trailing`,
+		`{"id": "tk1-new"}{"id": "tk1-other"}`,
 		`{"id"`,
 		`null`,
 		``,

@@ -104,6 +104,44 @@ func checkInvariants(t *testing.T, h http.Handler, path, body string, dst any) {
 	}
 }
 
+// TestTrailingInputRejected holds every JSON endpoint to exactly one
+// body value: stray text or a second value after the first is a 400
+// "bad request body", never an answer to the first value alone, and a
+// rejected add leaves the fleet as it was. Trailing whitespace is fine.
+func TestTrailingInputRejected(t *testing.T) {
+	srv, reg := adminFleet(t, serve.Options{})
+	h := srv.Handler()
+	bodies := map[string]string{
+		"/v1/predict":       `{"profile": {"dp_fma": 1e9}, "setting_id": "max"}`,
+		"/v1/fleet/predict": `{"profile": {"dp_fma": 1e9}, "setting_id": "max"}`,
+		"/v1/autotune":      `{"profile": {"dp_fma": 1e9}}`,
+		"/v1/fleet/place":   `{"profile": {"dp_fma": 1e9}}`,
+		"/v1/fleet/devices": `{"id": "tk1-c"}`,
+	}
+	epoch := epochOf(reg)
+	for path, body := range bodies {
+		prefix := "bad request body:"
+		if path == "/v1/fleet/devices" {
+			prefix = "fleet: parsing device spec:"
+		}
+		for _, tail := range []string{` trailing`, " " + body, `]`, `0`} {
+			w := post(t, h, path, body+tail)
+			var e serve.ErrorJSON
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || w.Code != http.StatusBadRequest || !strings.HasPrefix(e.Error, prefix) {
+				t.Errorf("POST %s %q = %d %s, want 400 %q", path, body+tail, w.Code, w.Body, prefix)
+			}
+		}
+	}
+	if len(reg.Nodes()) != 2 || epochOf(reg) != epoch {
+		t.Fatalf("rejected adds mutated the registry: %d devices, epoch %d -> %d", len(reg.Nodes()), epoch, epochOf(reg))
+	}
+	for _, path := range []string{"/v1/predict", "/v1/fleet/predict"} {
+		if w := post(t, h, path, bodies[path]+" \n\t"); w.Code != http.StatusOK {
+			t.Errorf("POST %s with trailing whitespace = %d: %s", path, w.Code, w.Body)
+		}
+	}
+}
+
 func FuzzPredictRequest(f *testing.F) {
 	h := fuzzHandler(f)
 	for _, body := range csvSeedBodies(f, true) {
@@ -121,6 +159,8 @@ func FuzzPredictRequest(f *testing.F) {
 		`{"profile": {"dp_fma": 1e9}, "bogus_field": 1}`,
 		`{"profile": {"dp_fma": 1e309}, "setting_id": "max"}`,
 		`{"profile"`,
+		`{"profile": {"dp_fma": 1e9}, "setting_id": "max"} trailing`,
+		`{"profile": {"dp_fma": 1e9}, "setting_id": "max"}{"profile": {"sp": 1e9}, "setting_id": "S2"}`,
 		`null`,
 		``,
 	} {
