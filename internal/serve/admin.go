@@ -47,61 +47,51 @@ type RemoveDeviceResponse struct {
 	Graceful bool `json:"graceful"`
 }
 
-// adminEnabled gates the membership verbs; the legacy single-device
-// server and fleets built without an Admin reject them.
-func (s *Server) adminEnabled(w http.ResponseWriter) bool {
+// adminGate refuses the membership verbs on the legacy single-device
+// server and on fleets built without an Admin.
+func (s *Server) adminGate() (rep reply, ok bool) {
 	if s.legacy || s.admin == nil {
-		writeError(w, http.StatusForbidden, "fleet membership admin is disabled")
-		return false
+		return fail(http.StatusForbidden, "fleet membership admin is disabled", ""), false
 	}
-	return true
+	return reply{}, true
 }
 
-// handleFleetDeviceAdd admits a new device from a spec body.
-func (s *Server) handleFleetDeviceAdd(w http.ResponseWriter, r *http.Request) {
-	if !s.adminEnabled(w) {
-		return
+// handleFleetDeviceAdd admits a new device from a spec body: 202 with
+// calibration running in the background, or 201 once it serves under
+// ?wait=1.
+func (s *Server) handleFleetDeviceAdd(r *http.Request) reply {
+	if rep, ok := s.adminGate(); !ok {
+		return rep
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		return
+		return fail(http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err), "")
 	}
 	spec, err := fleet.ParseSpec(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return fail(http.StatusBadRequest, err.Error(), "")
 	}
 	if _, ok := s.reg.Get(spec.ID); ok {
-		writeErrorDev(w, http.StatusConflict, fmt.Sprintf("device %q already in the fleet", spec.ID), spec.ID)
-		return
+		return fail(http.StatusConflict, fmt.Sprintf("device %q already in the fleet", spec.ID), spec.ID)
 	}
 	node, err := s.admin.BuildNode(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return fail(http.StatusBadRequest, err.Error(), "")
 	}
 	if err := s.reg.Add(node, fleet.StateCalibrating); err != nil {
 		// A concurrent add of the same ID won the race.
-		writeErrorDev(w, http.StatusConflict, err.Error(), spec.ID)
-		return
+		return fail(http.StatusConflict, err.Error(), spec.ID)
 	}
-	if r.URL.Query().Get("wait") != "" {
-		if err := s.calibrateAndActivate(node); err != nil {
-			writeErrorDev(w, http.StatusInternalServerError, err.Error(), spec.ID)
-			return
-		}
-		markDevice(w, node.ID)
-		writeJSON(w, http.StatusCreated, AddDeviceResponse{
-			DeviceID: node.ID, State: node.State().String(), Seed: node.Cfg.Seed,
-		})
-		return
+	code := http.StatusCreated
+	if r.URL.Query().Get("wait") == "" {
+		code = http.StatusAccepted
+		go func() { _ = s.calibrateAndActivate(node) }()
+	} else if err := s.calibrateAndActivate(node); err != nil {
+		return fail(http.StatusInternalServerError, err.Error(), spec.ID)
 	}
-	go func() { _ = s.calibrateAndActivate(node) }()
-	markDevice(w, node.ID)
-	writeJSON(w, http.StatusAccepted, AddDeviceResponse{
+	return reply{code, AddDeviceResponse{
 		DeviceID: node.ID, State: node.State().String(), Seed: node.Cfg.Seed,
-	})
+	}, node.ID}
 }
 
 // calibrateAndActivate lands a newly added device's calibration and puts
@@ -122,26 +112,23 @@ func (s *Server) calibrateAndActivate(node *fleet.Node) error {
 }
 
 // handleFleetDevice serves the /v1/fleet/devices/{id} subtree.
-func (s *Server) handleFleetDevice(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetDevice(r *http.Request) reply {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/fleet/devices/")
 	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusNotFound, "want /v1/fleet/devices/{id}")
-		return
+		return fail(http.StatusNotFound, "want /v1/fleet/devices/{id}", "")
 	}
 	if r.Method != http.MethodDelete {
-		writeError(w, http.StatusMethodNotAllowed, "DELETE only")
-		return
+		return fail(http.StatusMethodNotAllowed, "DELETE only", "")
 	}
-	if !s.adminEnabled(w) {
-		return
+	if rep, ok := s.adminGate(); !ok {
+		return rep
 	}
 	mode := r.URL.Query().Get("mode")
 	if mode == "" {
 		mode = "drain"
 	}
 	if _, ok := s.reg.Get(id); !ok {
-		writeErrorDev(w, http.StatusNotFound, fmt.Sprintf("unknown device %q", id), id)
-		return
+		return fail(http.StatusNotFound, fmt.Sprintf("unknown device %q", id), id)
 	}
 	var graceful bool
 	var err error
@@ -154,8 +141,7 @@ func (s *Server) handleFleetDevice(w http.ResponseWriter, r *http.Request) {
 			sec, perr := strconv.ParseFloat(ds, 64)
 			d, ok := clientDuration(sec)
 			if perr != nil || !ok {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad deadline_s %q", ds))
-				return
+				return fail(http.StatusBadRequest, fmt.Sprintf("bad deadline_s %q", ds), "")
 			}
 			deadline = d
 		}
@@ -163,17 +149,14 @@ func (s *Server) handleFleetDevice(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		graceful, err = s.reg.Drain(ctx, id)
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want \"drain\" or \"evict\")", mode))
-		return
+		return fail(http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want \"drain\" or \"evict\")", mode), "")
 	}
 	if err != nil {
-		writeErrorDev(w, http.StatusNotFound, err.Error(), id)
-		return
+		return fail(http.StatusNotFound, err.Error(), id)
 	}
-	markDevice(w, id)
-	writeJSON(w, http.StatusOK, RemoveDeviceResponse{
+	return reply{http.StatusOK, RemoveDeviceResponse{
 		DeviceID: id, Mode: mode, State: fleet.StateRemoved.String(), Graceful: graceful,
-	})
+	}, id}
 }
 
 // observeSweep feeds one fresh sweep's candidates to the drift watchdog

@@ -26,10 +26,10 @@ type FleetPredictResponse struct {
 	PredictResponse
 }
 
-func (s *Server) handleFleetPredict(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetPredict(r *http.Request) reply {
 	var req FleetPredictRequest
-	if !decodeJSON(w, r, &req) {
-		return
+	if rep, ok := decodeJSON(r, &req); !ok {
+		return rep
 	}
 	// ?route= selects the placement policy: "hash" (the default) is the
 	// consistent-hash home with its cache affinity and deterministic
@@ -39,22 +39,19 @@ func (s *Server) handleFleetPredict(w http.ResponseWriter, r *http.Request) {
 	switch route {
 	case "", "hash", "least_loaded":
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown route %q (want \"hash\" or \"least_loaded\")", route))
-		return
+		return fail(http.StatusBadRequest, fmt.Sprintf("unknown route %q (want \"hash\" or \"least_loaded\")", route), "")
 	}
 	var node *fleet.Node
 	switch {
 	case req.Device != "":
 		n, ok := s.reg.Get(req.Device)
 		if !ok {
-			writeErrorDev(w, http.StatusNotFound, fmt.Sprintf("unknown device %q", req.Device), req.Device)
-			return
+			return fail(http.StatusNotFound, fmt.Sprintf("unknown device %q", req.Device), req.Device)
 		}
 		if n.Cal() == nil {
 			// Still calibrating after a runtime add: nothing to predict
 			// with yet.
-			writeErrorDev(w, http.StatusServiceUnavailable, fmt.Sprintf("device %q is still calibrating", req.Device), req.Device)
-			return
+			return fail(http.StatusServiceUnavailable, fmt.Sprintf("device %q is still calibrating", req.Device), req.Device)
 		}
 		node = n
 	case route == "least_loaded":
@@ -62,7 +59,7 @@ func (s *Server) handleFleetPredict(w http.ResponseWriter, r *http.Request) {
 	default:
 		node = s.reg.Route(predictKey(req.PredictRequest))
 	}
-	s.predict(w, node, req.PredictRequest, true)
+	return s.predict(node, req.PredictRequest, true)
 }
 
 // DevicePlacement is one device's sweep outcome inside a /v1/fleet/place
@@ -107,26 +104,23 @@ type PlaceResponse struct {
 // a placement over the surviving fleet is still useful, and the skip
 // list says what it omits. A degraded hit counts as a plain hit: the
 // body has no degraded flag to carry it.
-func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetPlace(r *http.Request) reply {
 	var req AutotuneRequest
-	if !decodeJSON(w, r, &req) {
-		return
+	if rep, ok := decodeJSON(r, &req); !ok {
+		return rep
 	}
 	gridName, wl, timeout := s.sweepRequest(req)
 	if err := wl.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return fail(http.StatusBadRequest, err.Error(), "")
 	}
 	// Placement considers active devices only: draining and quarantined
 	// members keep their in-flight work but take no new sweeps.
 	nodes := s.reg.Active()
 	if len(nodes) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no active device in the fleet")
-		return
+		return fail(http.StatusServiceUnavailable, "no active device in the fleet", "")
 	}
 	if _, ok := nodes[0].Grids[gridName]; !ok {
-		writeError(w, http.StatusBadRequest, unknownGrid(gridName))
-		return
+		return fail(http.StatusBadRequest, unknownGrid(gridName), "")
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -159,8 +153,7 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 				s.charge(n, fleet.SweepFailed, nil)
 			}
 			code, msg := sweepStatus(err)
-			writeError(w, code, msg)
-			return
+			return fail(code, msg, "")
 		}
 		for i, res := range results {
 			n := targetNodes[i]
@@ -199,13 +192,12 @@ func (s *Server) handleFleetPlace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if winner < 0 {
-		writeError(w, http.StatusServiceUnavailable, "no device could sweep this workload")
-		return
+		return fail(http.StatusServiceUnavailable, "no device could sweep this workload", "")
 	}
 	resp.Winner = resp.Devices[winner].DeviceID
 	resp.WinnerPick = resp.Devices[winner].MeasuredMin
 	s.metrics.addAnsweredJoules(resp.Winner, float64(resp.WinnerPick.MeasuredJ))
-	writeJSON(w, http.StatusOK, resp)
+	return reply{http.StatusOK, resp, ""}
 }
 
 // DeviceInfo is one device's row in the fleet inventory. Samples and
@@ -240,7 +232,7 @@ type DevicesResponse struct {
 
 // handleFleetDevices dispatches the collection endpoint: GET lists the
 // inventory, POST (admin) adds a device.
-func (s *Server) handleFleetDevices(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetDevices(r *http.Request) reply {
 	switch r.Method {
 	case http.MethodGet:
 		snap := s.snapshot()
@@ -248,10 +240,10 @@ func (s *Server) handleFleetDevices(w http.ResponseWriter, r *http.Request) {
 		for i := range snap.devices {
 			resp.Devices[i] = snap.devices[i].DeviceInfo
 		}
-		writeJSON(w, http.StatusOK, resp)
+		return reply{http.StatusOK, resp, ""}
 	case http.MethodPost:
-		s.handleFleetDeviceAdd(w, r)
+		return s.handleFleetDeviceAdd(r)
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or POST only")
+		return fail(http.StatusMethodNotAllowed, "GET or POST only", "")
 	}
 }

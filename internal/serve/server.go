@@ -218,37 +218,42 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// statusWriter captures the response code for the request metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
+// maxBodyBytes bounds request bodies; profiles are a handful of numbers.
+const maxBodyBytes = 1 << 20
+
+// reply is one instrumented handler's answer: the status, the value to
+// encode as the JSON body, and the device it names ("" for none).
+type reply struct {
+	code   int
+	body   any
+	device string
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
+// fail builds an error reply. The device goes into both places a client
+// may look for it, the body's device_id and the X-Energyd-Device header,
+// so the two can never disagree; "" leaves both out, as legacy mode
+// (the empty ID) always does.
+func fail(code int, msg, device string) reply {
+	return reply{code, ErrorJSON{Error: msg, DeviceID: device}, device}
 }
 
-// instrument wraps a handler with in-flight, count and latency tracking.
-func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
+// instrument is the one writer of the instrumented endpoints: it caps
+// the body, runs the handler, names the reply's device in a header (so
+// success bodies stay the same for one device or fifty), writes the
+// body, and records in-flight, count and latency under the status sent.
+func (s *Server) instrument(endpoint string, h func(*http.Request) reply) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.addInflight(1)
 		defer s.metrics.addInflight(-1)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		start := s.clock()
-		h(sw, r)
-		s.metrics.observe(endpoint, sw.code, s.clock().Sub(start).Seconds())
+		rep := h(r)
+		if rep.device != "" {
+			w.Header().Set("X-Energyd-Device", rep.device)
+		}
+		writeJSON(w, rep.code, rep.body)
+		s.metrics.observe(endpoint, rep.code, s.clock().Sub(start).Seconds())
 	})
-}
-
-// markDevice names the serving device on responses. Fleet mode conveys
-// it in a response header so the legacy endpoint bodies stay
-// byte-identical whether the fleet has one device or fifty; legacy mode
-// (the empty ID) adds nothing at all.
-func markDevice(w http.ResponseWriter, id string) {
-	if id != "" {
-		w.Header().Set("X-Energyd-Device", id)
-	}
 }
 
 // Run serves h on l until ctx is cancelled, then shuts the server down

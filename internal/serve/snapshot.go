@@ -61,7 +61,7 @@ func (s *Server) snapshot() *snapshot {
 // handleHealthz is liveness only: the process is up and holds
 // calibrations. It stays 200 in degraded mode so orchestrators do not
 // restart a daemon that is usefully serving stale answers.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(*http.Request) reply {
 	snap := s.snapshot()
 	samples := 0
 	for i := range snap.devices {
@@ -71,7 +71,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.legacy {
 		body["devices"] = len(snap.devices)
 	}
-	writeJSON(w, http.StatusOK, body)
+	return reply{http.StatusOK, body, ""}
 }
 
 // handleReadyz is readiness. Legacy mode keeps its historic contract:
@@ -80,7 +80,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // are active — a fleet with one healthy member out of fifty is still a
 // fleet worth routing to, and open breakers alone mean degraded cached
 // serving, not unreadiness.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(*http.Request) reply {
 	snap := s.snapshot()
 	if s.legacy {
 		d := &snap.devices[0]
@@ -88,10 +88,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		if d.breaker == fleet.BreakerOpen {
 			code, status = http.StatusServiceUnavailable, "degraded"
 		}
-		writeJSON(w, code, map[string]any{
+		return reply{code, map[string]any{
 			"status": status, "breaker": d.Breaker, "samples": d.Samples, "coverage": d.Coverage,
-		})
-		return
+		}, ""}
 	}
 	open := 0
 	devices := make([]deviceReadiness, len(snap.devices))
@@ -107,14 +106,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if active == 0 {
 		code, status = http.StatusServiceUnavailable, "no-active-devices"
 	}
-	writeJSON(w, code, map[string]any{
+	return reply{code, map[string]any{
 		"status":  status,
 		"epoch":   snap.epoch,
 		"active":  active,
 		"open":    open,
 		"states":  snap.states,
 		"devices": devices,
-	})
+	}, ""}
 }
 
 // deviceReadiness is one device's row in the fleet /readyz body.

@@ -56,7 +56,7 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		writeJSON(w, http.StatusMethodNotAllowed, ErrorJSON{Error: "GET only"})
 		return
 	}
 	snap := s.snapshot()
