@@ -11,31 +11,9 @@ package dvfs
 
 import (
 	"fmt"
-	"sort"
 
 	"dvfsroofline/internal/units"
 )
-
-// Domain identifies an independently scalable voltage/frequency domain.
-type Domain int
-
-const (
-	// Proc is the GPU core domain (the Kepler SMX).
-	Proc Domain = iota
-	// Mem is the external memory controller (EMC/DRAM) domain.
-	Mem
-)
-
-func (d Domain) String() string {
-	switch d {
-	case Proc:
-		return "proc"
-	case Mem:
-		return "mem"
-	default:
-		return fmt.Sprintf("Domain(%d)", int(d))
-	}
-}
 
 // OperatingPoint is one frequency/voltage pair of a domain's DVFS table.
 type OperatingPoint struct {
@@ -177,30 +155,4 @@ func ValidationID(i int) string { return fmt.Sprintf("S%d", i+1) }
 // (852 MHz core, 924 MHz memory) — the paper's Figure 6 configuration.
 func MaxSetting() Setting {
 	return Setting{Core: CoreTable[len(CoreTable)-1], Mem: MemTable[len(MemTable)-1]}
-}
-
-// Validate checks table invariants: strictly increasing frequencies and
-// non-decreasing voltages. It is exercised by tests and callable from
-// applications that extend the tables for other boards.
-func Validate(table []OperatingPoint) error {
-	if len(table) == 0 {
-		return fmt.Errorf("dvfs: empty operating-point table")
-	}
-	if !sort.SliceIsSorted(table, func(i, j int) bool { return table[i].FreqMHz < table[j].FreqMHz }) {
-		return fmt.Errorf("dvfs: table not sorted by frequency")
-	}
-	for i := 1; i < len(table); i++ {
-		if table[i].FreqMHz == table[i-1].FreqMHz {
-			return fmt.Errorf("dvfs: duplicate frequency %g MHz", float64(table[i].FreqMHz))
-		}
-		if table[i].VoltageMV < table[i-1].VoltageMV {
-			return fmt.Errorf("dvfs: voltage not monotone at %g MHz", float64(table[i].FreqMHz))
-		}
-	}
-	for _, p := range table {
-		if p.FreqMHz <= 0 || p.VoltageMV <= 0 {
-			return fmt.Errorf("dvfs: non-positive operating point %v", p)
-		}
-	}
-	return nil
 }

@@ -72,20 +72,6 @@ func RelErr(predicted, actual float64) float64 {
 	return math.Abs(predicted-actual) / math.Abs(actual)
 }
 
-// RelErrs maps RelErr over paired slices. It panics if lengths differ,
-// since mismatched prediction/measurement sets indicate a programming
-// error rather than a recoverable condition.
-func RelErrs(predicted, actual []float64) []float64 {
-	if len(predicted) != len(actual) {
-		panic(fmt.Sprintf("stats: RelErrs length mismatch %d vs %d", len(predicted), len(actual)))
-	}
-	out := make([]float64, len(predicted))
-	for i := range predicted {
-		out[i] = RelErr(predicted[i], actual[i])
-	}
-	return out
-}
-
 // Fold describes one cross-validation fold as index sets into the original
 // sample slice.
 type Fold struct {

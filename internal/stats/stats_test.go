@@ -79,15 +79,6 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestRelErrsMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on mismatched lengths")
-		}
-	}()
-	RelErrs([]float64{1}, []float64{1, 2})
-}
-
 func TestHoldout(t *testing.T) {
 	f := Holdout([]bool{true, false, true, true, false})
 	if len(f.Train) != 3 || len(f.Test) != 2 {

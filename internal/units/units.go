@@ -81,12 +81,6 @@ type PerCycle float64
 // Energy is the defining identity E = P·T.
 func Energy(p Watt, t Second) Joule { return Joule(float64(p) * float64(t)) }
 
-// Power is the inverse identity P = E/T.
-func Power(e Joule, t Second) Watt { return Watt(float64(e) / float64(t)) }
-
-// Duration is the inverse identity T = E/P.
-func Duration(e Joule, p Watt) Second { return Second(float64(e) / float64(p)) }
-
 // Hertz converts MHz to Hz.
 func (f MegaHertz) Hertz() Hertz { return Hertz(float64(f) * 1e6) }
 
@@ -105,9 +99,3 @@ func (c PicoJoulePerOpPerVoltSq) At(v2 VoltSq) PicoJoulePerOp {
 // At scales a W/V leakage coefficient by a rail voltage, producing the
 // constant-power contribution at that operating point.
 func (c WattPerVolt) At(v Volt) Watt { return Watt(float64(c) * float64(v)) }
-
-// Joules converts a pJ/op cost to J/op.
-func (c PicoJoulePerOp) Joules() JoulePerOp { return JoulePerOp(float64(c) * 1e-12) }
-
-// ForOps is the total energy of n operations at this per-op cost.
-func (c JoulePerOp) ForOps(n Count) Joule { return Joule(float64(c) * float64(n)) }

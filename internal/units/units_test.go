@@ -5,31 +5,6 @@ import (
 	"testing"
 )
 
-// TestEnergyPowerRoundTrip sweeps power and duration across the scales
-// the simulator actually produces (µW bursts to kW, µs to ks) and
-// checks the defining identities against each other: recovering power
-// from Energy(p,t) and duration from the same energy must return the
-// inputs to within floating-point rounding.
-func TestEnergyPowerRoundTrip(t *testing.T) {
-	for pe := -6; pe <= 3; pe++ {
-		for te := -6; te <= 3; te++ {
-			for _, pm := range []float64{1, 1.7, 2.5, 9.99} {
-				for _, tm := range []float64{1, 1.3, 3.14, 8.25} {
-					p := Watt(pm * math.Pow(10, float64(pe)))
-					d := Second(tm * math.Pow(10, float64(te)))
-					e := Energy(p, d)
-					if got := Power(e, d); math.Abs(float64(got-p)) > 1e-12*math.Abs(float64(p)) {
-						t.Fatalf("Power(Energy(%v,%v),%v) = %v, want %v", p, d, d, got, p)
-					}
-					if got := Duration(e, p); math.Abs(float64(got-d)) > 1e-12*math.Abs(float64(d)) {
-						t.Fatalf("Duration(Energy(%v,%v),%v) = %v, want %v", p, d, p, got, d)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestConversionScales(t *testing.T) {
 	if got := MegaHertz(852).Hertz(); got != 852e6 {
 		t.Errorf("852 MHz = %v Hz, want 852e6", got)
@@ -39,9 +14,6 @@ func TestConversionScales(t *testing.T) {
 	}
 	if got := Volt(1.1).Squared(); math.Abs(float64(got)-1.21) > 1e-15 {
 		t.Errorf("1.1 V squared = %v, want 1.21", got)
-	}
-	if got := PicoJoulePerOp(27.33).Joules(); math.Abs(float64(got)-27.33e-12) > 1e-24 {
-		t.Errorf("27.33 pJ/op = %v J/op", got)
 	}
 }
 
@@ -57,9 +29,5 @@ func TestCoefficientHelpersMatchEq9(t *testing.T) {
 	c1 := WattPerVolt(2.70)
 	if got := c1.At(v); math.Abs(float64(got)-2.70*1.015) > 1e-12 {
 		t.Errorf("c1.At(V) = %v, want %v", got, 2.70*1.015)
-	}
-	perOp := PicoJoulePerOp(100).Joules()
-	if got := perOp.ForOps(1e9); math.Abs(float64(got)-0.1) > 1e-15 {
-		t.Errorf("100 pJ/op × 1e9 ops = %v J, want 0.1", got)
 	}
 }
