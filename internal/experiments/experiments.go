@@ -183,13 +183,7 @@ func Calibrate(ctx context.Context, dev *tegra.Device, cfg Config) (*Calibration
 	if !(minCov > 0 && minCov <= 1) {
 		return nil, fmt.Errorf("experiments: min coverage %g outside (0, 1]", cfg.MinCoverage)
 	}
-	runner := &microbench.Runner{
-		Device:      dev,
-		MeterConfig: cfg.Meter,
-		Seed:        cfg.Seed + 1,
-		TargetTime:  cfg.BenchTargetTime,
-		Faults:      cfg.Faults,
-	}
+	runner := &microbench.Runner{Device: dev}
 	calSettings := dvfs.CalibrationSettings()
 	benches := microbench.Suite()
 	samples := make([]core.Sample, len(calSettings)*len(benches))
@@ -201,13 +195,9 @@ func Calibrate(ctx context.Context, dev *tegra.Device, cfg Config) (*Calibration
 	err := forEach(ctx, cfg, "calibrate", len(samples), func(i int) error {
 		s := calSettings[i/len(benches)].Setting
 		b := benches[i%len(benches)]
-		var smp microbench.Sample
-		var runErr error
-		attempts[i], runErr = faults.Do(ctx, cfg.Retry, func(attempt int) error {
-			var err error
-			smp, err = runner.RunAttempt(b, s, attempt)
-			return err
-		})
+		exec := dev.Execute(b.Workload(runner.SizeFor(b, s, cfg.BenchTargetTime)), s)
+		energy, n, runErr := measure(ctx, cfg, exec, microbench.SampleSeed(cfg.Seed+1, b, s), &b)
+		attempts[i] = n
 		if runErr != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -219,10 +209,10 @@ func Calibrate(ctx context.Context, dev *tegra.Device, cfg Config) (*Calibration
 			return nil
 		}
 		samples[i] = core.Sample{
-			Profile: smp.Workload.Profile,
-			Setting: smp.Setting,
-			Time:    smp.Time,
-			Energy:  smp.Energy,
+			Profile: exec.Workload.Profile,
+			Setting: s,
+			Time:    exec.Time,
+			Energy:  energy,
 		}
 		valid[i] = true
 		return nil
@@ -404,13 +394,7 @@ func (c *Calibration) TableI() []TableIRow {
 // out over cfg.Workers workers; sample values depend only on each
 // (benchmark, setting) identity, so the rows are worker-count-invariant.
 func Autotune(ctx context.Context, dev *tegra.Device, model *core.Model, cfg Config) ([]core.TableIIRow, error) {
-	runner := &microbench.Runner{
-		Device:      dev,
-		MeterConfig: cfg.Meter,
-		Seed:        cfg.Seed + 3,
-		TargetTime:  cfg.BenchTargetTime,
-		Faults:      cfg.Faults,
-	}
+	runner := &microbench.Runner{Device: dev}
 	// Candidates are the paper's 16 measured calibration settings: the
 	// autotuner picks among configurations for which measurements exist,
 	// as in §II-E.
@@ -457,20 +441,16 @@ func Autotune(ctx context.Context, dev *tegra.Device, model *core.Model, cfg Con
 			// Transient faults retry like calibration samples do; an
 			// autotuning sweep has no quarantine — a hole in the grid
 			// would silently bias the pick, so persistent failure aborts.
-			var smp microbench.Sample
-			_, err := faults.Do(ctx, cfg.Retry, func(attempt int) error {
-				var err error
-				smp, err = runner.RunSizedAttempt(b, elements, s, attempt)
-				return err
-			})
+			exec := dev.Execute(b.Workload(elements), s)
+			energy, _, err := measure(ctx, cfg, exec, microbench.SampleSeed(cfg.Seed+3, b, s), &b)
 			if err != nil {
 				return err
 			}
 			cands = append(cands, core.Candidate{
 				Setting:        s,
-				Profile:        smp.Workload.Profile,
-				Time:           smp.Time,
-				MeasuredEnergy: smp.Energy,
+				Profile:        exec.Workload.Profile,
+				Time:           exec.Time,
+				MeasuredEnergy: energy,
 			})
 		}
 		sweeps[u.kind][u.intensity] = cands

@@ -9,6 +9,7 @@ import (
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/fmm"
+	"dvfsroofline/internal/microbench"
 	"dvfsroofline/internal/powermon"
 	"dvfsroofline/internal/tegra"
 	"dvfsroofline/internal/units"
@@ -53,6 +54,37 @@ func TestCalibrationSampleCount(t *testing.T) {
 	}
 	if train != 928 {
 		t.Errorf("got %d training samples, want 928 (8 T settings)", train)
+	}
+}
+
+// TestRunMatchesCalibrateSamples keeps microbench.Runner.Run, the
+// benchmark ladder's single-sample rung, on the pipeline's measurement
+// path: a runner seeded like Calibrate's (cfg.Seed+1) must reproduce
+// Calibrate's sample bits for any (benchmark, setting) pair.
+func TestRunMatchesCalibrateSamples(t *testing.T) {
+	dev, cal := calibrate(t)
+	cfg := testConfig()
+	runner := &microbench.Runner{
+		Device:      dev,
+		MeterConfig: cfg.Meter,
+		Seed:        cfg.Seed + 1,
+		TargetTime:  cfg.BenchTargetTime,
+		Faults:      cfg.Faults,
+	}
+	cs := dvfs.CalibrationSettings()
+	benches := microbench.Suite()
+	for _, p := range []struct{ setting, bench int }{{0, 0}, {3, 40}, {9, 77}, {15, 115}} {
+		b, s := benches[p.bench], cs[p.setting].Setting
+		smp, err := runner.Run(b, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := cal.Samples[p.setting*len(benches)+p.bench]
+		if smp.Setting != want.Setting || smp.Workload.Profile != want.Profile ||
+			math.Float64bits(float64(smp.Time)) != math.Float64bits(float64(want.Time)) ||
+			math.Float64bits(float64(smp.Energy)) != math.Float64bits(float64(want.Energy)) {
+			t.Errorf("Run(%v, %v) = %+v, Calibrate measured %+v", b, s, smp, want)
+		}
 	}
 }
 

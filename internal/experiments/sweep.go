@@ -14,26 +14,36 @@ import (
 	"dvfsroofline/internal/units"
 )
 
+// measure takes exec's fault-aware measurement (microbench.Measure)
+// under cfg.Retry and returns its energy and the number of attempts it
+// took: the one retry loop over every measured sample. b is the
+// microbenchmark a calibration or Table II sample runs, and Measure
+// names it in the error. A sweep candidate passes nil: its short runs
+// repeat, and its error names the setting it was swept at.
+func measure(ctx context.Context, cfg Config, exec tegra.Execution, key int64, b *microbench.Benchmark) (units.Joule, int, error) {
+	var energy units.Joule
+	attempts, err := faults.Do(ctx, cfg.Retry, func(attempt int) error {
+		var err error
+		energy, err = microbench.Measure(exec, cfg.Meter, cfg.Faults, key, attempt, b)
+		if err != nil && b == nil {
+			err = fmt.Errorf("experiments: sweep at %v: %w", exec.Setting, err)
+		}
+		return err
+	})
+	return energy, attempts, err
+}
+
 // measureCandidate executes one fixed workload at one setting on one
-// device and measures it (microbench.Measure, repeating runs too short
-// to integrate), producing the sweep candidate for that grid point. The
-// measurement-noise seed derives from cfg.Seed and the setting's
-// identity — never from scheduling order — so any sweep built from
-// these units is byte-identical at any worker count. Under an active
-// cfg.Faults plan, transient failures retry per cfg.Retry.
+// device and measures it, producing the sweep candidate for that grid
+// point. The measurement-noise seed derives from cfg.Seed and the
+// setting's identity — never from scheduling order — so any sweep built
+// from these units is byte-identical at any worker count.
 func measureCandidate(ctx context.Context, dev *tegra.Device, cfg Config, w tegra.Workload, s dvfs.Setting) (core.Candidate, error) {
 	exec := dev.Execute(w, s)
 	key := stats.MixSeed(cfg.Seed+9,
 		int64(math.Float64bits(float64(s.Core.FreqMHz))), int64(math.Float64bits(float64(s.Core.VoltageMV))),
 		int64(math.Float64bits(float64(s.Mem.FreqMHz))), int64(math.Float64bits(float64(s.Mem.VoltageMV))))
-	var energy units.Joule
-	_, err := faults.Do(ctx, cfg.Retry, func(attempt int) error {
-		var err error
-		if energy, err = microbench.Measure(exec, cfg.Meter, cfg.Faults, key, attempt, true); err != nil {
-			return fmt.Errorf("experiments: sweep at %v: %w", s, err)
-		}
-		return nil
-	})
+	energy, _, err := measure(ctx, cfg, exec, key, nil)
 	if err != nil {
 		return core.Candidate{}, err
 	}

@@ -260,12 +260,22 @@ func SampleSeed(seed int64, b Benchmark, s dvfs.Setting) int64 {
 // re-measurement redraws its noise instead of replaying the corrupted
 // stream. A zero cfg selects powermon.DefaultConfig().
 //
-// With repeat set, a run shorter than 16 meter samples is repeated back
-// to back until it fills that window, as the paper's harness repeats
-// short kernels, and the integrated energy is divided by the repetition
-// count. Without it such a run is measured as is, and one too short to
-// integrate is an error.
-func Measure(exec tegra.Execution, cfg powermon.Config, plan faults.Plan, key int64, attempt int, repeat bool) (units.Joule, error) {
+// b is the microbenchmark that exec runs, or nil for any other
+// workload. A benchmark run is sized to fill the measurement window, so
+// it is measured as is, one too short to integrate is an error, and
+// every error names b and exec's setting. Any other run shorter than 16
+// meter samples is repeated back to back until it fills that window, as
+// the paper's harness repeats short kernels, and the integrated energy
+// is divided by the repetition count; its errors are left for the
+// caller to name.
+func Measure(exec tegra.Execution, cfg powermon.Config, plan faults.Plan, key int64, attempt int, b *Benchmark) (_ units.Joule, err error) {
+	if b != nil {
+		defer func() {
+			if err != nil {
+				err = fmt.Errorf("microbench: measuring %v at %v: %w", *b, exec.Setting, err)
+			}
+		}()
+	}
 	if cfg == (powermon.Config{}) {
 		cfg = powermon.DefaultConfig()
 	}
@@ -287,7 +297,7 @@ func Measure(exec tegra.Execution, cfg powermon.Config, plan faults.Plan, key in
 		return 0, err
 	}
 	reps := 1.0
-	if min := meter.MinDuration(16); repeat && exec.Time < min {
+	if min := meter.MinDuration(16); b == nil && exec.Time < min {
 		reps = math.Ceil(float64(min / exec.Time))
 		// Throttle windows land inside one execution period and repeat
 		// with it, so their relative energy effect is the same whether
@@ -318,17 +328,23 @@ func release(m *powermon.Meter) {
 	meters.Put(m)
 }
 
-// Run sizes, executes and measures one benchmark at one setting. The
-// stream is sized so the run fills the measurement window at s.
+// Run sizes, executes and measures one benchmark at one setting: the
+// attempt-0 measurement of a calibration sample. The stream is sized so
+// the run fills the measurement window at s.
 func (r *Runner) Run(b Benchmark, s dvfs.Setting) (Sample, error) {
-	return r.RunAttempt(b, s, 0)
-}
-
-// RunAttempt is Run for one retry attempt: the attempt number selects
-// which deterministic faults (if any) the run suffers and, for
-// attempt > 0, re-seeds the measurement noise.
-func (r *Runner) RunAttempt(b Benchmark, s dvfs.Setting, attempt int) (Sample, error) {
-	return r.RunSizedAttempt(b, r.SizeFor(b, s, r.TargetTime), s, attempt)
+	exec := r.Device.Execute(b.Workload(r.SizeFor(b, s, r.TargetTime)), s)
+	energy, err := Measure(exec, r.MeterConfig, r.Faults, SampleSeed(r.Seed, b, s), 0, &b)
+	if err != nil {
+		return Sample{}, err
+	}
+	return Sample{
+		Bench:    b,
+		Setting:  s,
+		Workload: exec.Workload,
+		Time:     exec.Time,
+		Energy:   energy,
+		Power:    units.Watt(float64(energy) / float64(exec.Time)),
+	}, nil
 }
 
 // SizeFor returns an element count such that the benchmark runs for
@@ -339,27 +355,6 @@ func (r *Runner) SizeFor(b Benchmark, s dvfs.Setting, target float64) float64 {
 	}
 	probe := r.Device.Execute(b.Workload(1e6), s)
 	return 1e6 * target / float64(probe.Time)
-}
-
-// RunSizedAttempt executes and measures a benchmark with a fixed element
-// count, for one retry attempt. Autotuning sweeps use it so that every
-// DVFS setting runs the *same* work — energies are only comparable at
-// equal work. Measure is keyed on the sample's identity (SampleSeed).
-// The run is never repeated; it is sized to fill the measurement window.
-func (r *Runner) RunSizedAttempt(b Benchmark, elements float64, s dvfs.Setting, attempt int) (Sample, error) {
-	exec := r.Device.Execute(b.Workload(elements), s)
-	energy, err := Measure(exec, r.MeterConfig, r.Faults, SampleSeed(r.Seed, b, s), attempt, false)
-	if err != nil {
-		return Sample{}, fmt.Errorf("microbench: measuring %v at %v: %w", b, s, err)
-	}
-	return Sample{
-		Bench:    b,
-		Setting:  s,
-		Workload: exec.Workload,
-		Time:     exec.Time,
-		Energy:   energy,
-		Power:    units.Watt(float64(energy) / float64(exec.Time)),
-	}, nil
 }
 
 // RunSuite measures every benchmark at every setting, in order

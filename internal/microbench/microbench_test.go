@@ -1,10 +1,14 @@
 package microbench
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"dvfsroofline/internal/dvfs"
+	"dvfsroofline/internal/faults"
+	"dvfsroofline/internal/powermon"
 	"dvfsroofline/internal/tegra"
 )
 
@@ -224,33 +228,34 @@ func TestSizeForHitsTarget(t *testing.T) {
 	}
 }
 
-func TestRunSizedKeepsWorkloadFixed(t *testing.T) {
+func TestExecuteKeepsWorkloadFixed(t *testing.T) {
 	// The same element count at two settings must yield identical
-	// operation profiles (that is the point of RunSizedAttempt).
-	r := &Runner{Device: tegra.NewDevice(), Seed: 10}
-	b := Benchmark{Kind: L2, Intensity: 16}
-	const elements = 5e7
-	a, err := r.RunSizedAttempt(b, elements, dvfs.MaxSetting(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := r.RunSizedAttempt(b, elements, dvfs.MustSetting(396, 204), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// operation profiles: Table II sizes each benchmark once and executes
+	// that work at every setting, since energies are only comparable at
+	// equal work.
+	dev := tegra.NewDevice()
+	w := Benchmark{Kind: L2, Intensity: 16}.Workload(5e7)
+	a := dev.Execute(w, dvfs.MaxSetting())
+	c := dev.Execute(w, dvfs.MustSetting(396, 204))
 	if a.Workload.Profile != c.Workload.Profile {
-		t.Error("RunSizedAttempt changed the workload across settings")
+		t.Error("Execute changed the workload across settings")
 	}
 	if c.Time <= a.Time {
 		t.Error("slower setting did not take longer for the same work")
 	}
 }
 
-func TestRunSizedTooSmallErrors(t *testing.T) {
-	// A microscopic workload finishes between meter samples and cannot
-	// be measured.
-	r := &Runner{Device: tegra.NewDevice(), Seed: 11}
-	if _, err := r.RunSizedAttempt(Benchmark{Kind: Single, Intensity: 1}, 10, dvfs.MaxSetting(), 0); err == nil {
-		t.Error("unmeasurably short run accepted")
+func TestMeasureTooShortBenchmarkErrors(t *testing.T) {
+	// A microscopic benchmark run finishes between meter samples and
+	// cannot be measured; benchmark runs are never repeated.
+	b := Benchmark{Kind: Single, Intensity: 1}
+	s := dvfs.MaxSetting()
+	exec := tegra.NewDevice().Execute(b.Workload(10), s)
+	_, err := Measure(exec, powermon.Config{}, faults.Plan{}, 11, 0, &b)
+	if err == nil {
+		t.Fatal("unmeasurably short run accepted")
+	}
+	if want := fmt.Sprintf("microbench: measuring %v at %v: ", b, s); !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q does not start with %q", err, want)
 	}
 }
