@@ -500,7 +500,7 @@ func (s *Server) handleCalibration(r *http.Request) reply {
 	}
 	node, err := s.deviceParam(r)
 	if err != nil {
-		return fail(http.StatusNotFound, err.Error(), "")
+		return fail(http.StatusNotFound, err.Error(), r.URL.Query().Get("device"))
 	}
 	// One load of the calibration pointer: a drift recalibration swapping
 	// it mid-render must not mix two generations' constants in one body.
