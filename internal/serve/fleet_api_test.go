@@ -1,14 +1,18 @@
 package serve_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/experiments"
+	"dvfsroofline/internal/faults"
 	"dvfsroofline/internal/fleet"
 	"dvfsroofline/internal/serve"
 	"dvfsroofline/internal/tegra"
@@ -412,5 +416,60 @@ func TestFleetEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(metrics, `energyd_autotune_cache_misses_total{device=`) {
 		t.Error("/metrics missing per-device cache miss counters")
+	}
+}
+
+// TestFleetPlaceHoldsSweptDevice checks that a placement holds each
+// device it sweeps, as predict and autotune hold theirs: while the sweep
+// is stalled in its retry backoff the device's in-flight gauge reads 1,
+// and a drain with a short deadline cannot finish gracefully.
+func TestFleetPlaceHoldsSweptDevice(t *testing.T) {
+	cal, err := serve.FixtureCalibration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	cfg := experiments.Config{
+		Seed:    42,
+		Workers: 1,
+		Faults:  faults.Plan{Seed: 1, MeterDisconnect: 1}, // every attempt fails
+		Retry: faults.Retry{MaxAttempts: 2, Sleep: func(time.Duration) {
+			once.Do(func() { close(stalled) })
+			<-resume
+		}},
+	}
+	node := fleet.NewNode("node-a", tegra.NewDevice(), cal, cfg, fullGrids(t), fleet.NodeOptions{})
+	reg, err := fleet.NewRegistry([]*fleet.Node{node}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := serve.NewFleet(reg, serve.Options{}).Handler()
+
+	done := make(chan int)
+	go func() {
+		done <- post(t, h, "/v1/fleet/place", `{"profile": {"dp_fma": 2e8, "dram_words": 5e7}}`).Code
+	}()
+	<-stalled
+	if got := node.Load(); got != 1 {
+		t.Errorf("in-flight load of the device being swept = %d, want 1", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	graceful, err := reg.Drain(ctx, "node-a")
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if graceful {
+		t.Error("drain finished gracefully while a placement was sweeping the device")
+	}
+	close(resume)
+	// Every attempt fails, so the lone device is skipped and the
+	// placement has no answer.
+	if code := <-done; code != http.StatusServiceUnavailable {
+		t.Errorf("placement = %d, want 503", code)
+	}
+	if got := node.Load(); got != 0 {
+		t.Errorf("in-flight load after the placement = %d, want 0", got)
 	}
 }
