@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 
 	"dvfsroofline/internal/experiments"
 	"dvfsroofline/internal/tegra"
+	"dvfsroofline/internal/units"
 )
 
 // buildTestFleet assembles a 3-device heterogeneous registry from specs
@@ -81,6 +83,76 @@ func TestSpecParamsMergeFromTK1(t *testing.T) {
 	}
 	if ideal.SPpJ != base.SPpJ {
 		t.Error("Ideal must not zero the physical coefficients")
+	}
+}
+
+// TestSpecParamsKeys pins the wire names of a spec's params object: each
+// key read through ParseSpec sets exactly its own field of DeviceParams,
+// an absent key or -0 inherits the TK1 value, and "ideal" zeroes exactly
+// the five non-ideality knobs unless one is declared.
+func TestSpecParamsKeys(t *testing.T) {
+	type setter = func(p *tegra.DeviceParams, v float64)
+	keys := []struct {
+		key  string
+		knob bool
+		set  setter
+	}{
+		{"sp_pj_v2", false, func(p *tegra.DeviceParams, v float64) { p.SPpJ = units.PicoJoulePerOpPerVoltSq(v) }},
+		{"dp_pj_v2", false, func(p *tegra.DeviceParams, v float64) { p.DPpJ = units.PicoJoulePerOpPerVoltSq(v) }},
+		{"int_pj_v2", false, func(p *tegra.DeviceParams, v float64) { p.IntpJ = units.PicoJoulePerOpPerVoltSq(v) }},
+		{"shared_pj_v2", false, func(p *tegra.DeviceParams, v float64) { p.SharedpJ = units.PicoJoulePerOpPerVoltSq(v) }},
+		{"l2_pj_v2", false, func(p *tegra.DeviceParams, v float64) { p.L2pJ = units.PicoJoulePerOpPerVoltSq(v) }},
+		{"dram_pj_v2", false, func(p *tegra.DeviceParams, v float64) { p.DRAMpJ = units.PicoJoulePerOpPerVoltSq(v) }},
+		{"leak_proc_w_v", false, func(p *tegra.DeviceParams, v float64) { p.LeakProcWpV = units.WattPerVolt(v) }},
+		{"leak_mem_w_v", false, func(p *tegra.DeviceParams, v float64) { p.LeakMemWpV = units.WattPerVolt(v) }},
+		{"misc_w", false, func(p *tegra.DeviceParams, v float64) { p.MiscW = units.Watt(v) }},
+		{"activity_slope", true, func(p *tegra.DeviceParams, v float64) { p.ActivitySlope = units.Ratio(v) }},
+		{"thermal_slope", true, func(p *tegra.DeviceParams, v float64) { p.ThermalSlope = units.Ratio(v) }},
+		{"freq_slope", true, func(p *tegra.DeviceParams, v float64) { p.FreqSlope = units.Ratio(v) }},
+		{"mix_jitter_amp", true, func(p *tegra.DeviceParams, v float64) { p.MixJitterAmp = units.Ratio(v) }},
+		{"stall_watts", true, func(p *tegra.DeviceParams, v float64) { p.StallWatts = units.Watt(v) }},
+	}
+	params := func(body string) tegra.DeviceParams {
+		t.Helper()
+		s, err := ParseSpec([]byte(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return s.DeviceParams()
+	}
+	tk1 := tegra.TK1Params()
+	ideal := tk1
+	for _, k := range keys {
+		if k.knob {
+			k.set(&ideal, 0)
+		}
+	}
+	if got := params(`{"id":"x"}`); got != tk1 {
+		t.Errorf("no params: got %+v, want TK1 %+v", got, tk1)
+	}
+	if got := params(`{"id":"x","ideal":true}`); got != ideal {
+		t.Errorf("ideal: got %+v, want %+v", got, ideal)
+	}
+	const v = 0.875 // differs from every TK1 value and is valid for every field
+	for _, k := range keys {
+		want := tk1
+		k.set(&want, v)
+		body := fmt.Sprintf(`{"id":"x","params":{%q:%g}}`, k.key, v)
+		if got := params(body); got != want {
+			t.Errorf("%s: got %+v, want %+v", body, got, want)
+		}
+		body = fmt.Sprintf(`{"id":"x","params":{%q:-0}}`, k.key)
+		if got := params(body); got != tk1 {
+			t.Errorf("%s: -0 must inherit TK1, got %+v", body, got)
+		}
+		if k.knob {
+			want := ideal
+			k.set(&want, v)
+			body := fmt.Sprintf(`{"id":"x","ideal":true,"params":{%q:%g}}`, k.key, v)
+			if got := params(body); got != want {
+				t.Errorf("%s: got %+v, want %+v", body, got, want)
+			}
+		}
 	}
 }
 
