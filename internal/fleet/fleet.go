@@ -8,7 +8,8 @@
 // The package provides:
 //
 //   - Spec / FleetConfig — JSON device declarations (tegra.DeviceParams
-//     variants with per-device seeds, calibration caches, DVFS bounds).
+//     over the TK1 baseline, with per-device seeds, calibration caches
+//     and DVFS bounds).
 //   - Node — one running device: simulator, calibration, per-device
 //     sweep cache and circuit breaker, a load gauge, and a lifecycle
 //     state (see NodeState).

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/tegra"
@@ -34,8 +35,8 @@ type FleetConfig struct {
 }
 
 // Spec declares one fleet device: its physical parameters (a
-// tegra.DeviceParams variant), its seed lineage, where its calibration
-// comes from, and which slice of the DVFS ladder it may run.
+// tegra.DeviceParams over the TK1 baseline), its seed lineage, where its
+// calibration comes from, and which slice of the DVFS ladder it may run.
 type Spec struct {
 	// ID names the device in routing, metrics labels, and responses.
 	ID string `json:"id"`
@@ -49,10 +50,10 @@ type Spec struct {
 	CalibrationCache string `json:"calibration_cache,omitempty"`
 	// Params overrides the Tegra K1 ground truth field by field: zero
 	// fields inherit the TK1 value, so a spec states only what differs.
-	Params ParamsJSON `json:"params,omitempty"`
-	// Ideal zeroes the non-ideality knobs (activity, thermal and
-	// frequency slopes, mix jitter, stall power) instead of inheriting
-	// the TK1 defaults, yielding an exactly-linear device.
+	Params tegra.DeviceParams `json:"params,omitempty"`
+	// Ideal starts from tegra.DeviceParams.Ideal of the TK1 baseline:
+	// the non-ideality knobs are zero unless Params declares them,
+	// yielding an exactly-linear device.
 	Ideal bool `json:"ideal,omitempty"`
 	// DVFS grid restriction: devices often ship with a trimmed ladder
 	// (a low-power SKU without the top bins, a server SKU without the
@@ -64,76 +65,25 @@ type Spec struct {
 	MaxMemMHz  units.MegaHertz `json:"max_mem_mhz,omitempty"`
 }
 
-// ParamsJSON mirrors tegra.DeviceParams on the wire. Zero fields mean
-// "inherit the TK1 value" (see Spec.Ideal for the non-ideality knobs).
-type ParamsJSON struct {
-	SPpJ          units.PicoJoulePerOpPerVoltSq `json:"sp_pj_v2,omitempty"`
-	DPpJ          units.PicoJoulePerOpPerVoltSq `json:"dp_pj_v2,omitempty"`
-	IntpJ         units.PicoJoulePerOpPerVoltSq `json:"int_pj_v2,omitempty"`
-	SharedpJ      units.PicoJoulePerOpPerVoltSq `json:"shared_pj_v2,omitempty"`
-	L2pJ          units.PicoJoulePerOpPerVoltSq `json:"l2_pj_v2,omitempty"`
-	DRAMpJ        units.PicoJoulePerOpPerVoltSq `json:"dram_pj_v2,omitempty"`
-	LeakProcWpV   units.WattPerVolt             `json:"leak_proc_w_v,omitempty"`
-	LeakMemWpV    units.WattPerVolt             `json:"leak_mem_w_v,omitempty"`
-	MiscW         units.Watt                    `json:"misc_w,omitempty"`
-	ActivitySlope units.Ratio                   `json:"activity_slope,omitempty"`
-	ThermalSlope  units.Ratio                   `json:"thermal_slope,omitempty"`
-	FreqSlope     units.Ratio                   `json:"freq_slope,omitempty"`
-	MixJitterAmp  units.Ratio                   `json:"mix_jitter_amp,omitempty"`
-	StallWatts    units.Watt                    `json:"stall_watts,omitempty"`
-}
+// ParamsJSON is a spec's params object on the wire: the simulator's own
+// parameter type, whose zero fields inherit the TK1 value.
+type ParamsJSON = tegra.DeviceParams
 
-// DeviceParams resolves the spec's physical parameters: declared fields
-// override the Tegra K1 baseline, and Ideal zeroes the non-ideality
-// knobs that were not explicitly set.
+// DeviceParams resolves the spec's physical parameters: every non-zero
+// declared field overrides the Tegra K1 baseline, and Ideal zeroes the
+// non-ideality knobs that were not explicitly set.
 func (s Spec) DeviceParams() tegra.DeviceParams {
 	p := tegra.TK1Params()
 	if s.Ideal {
-		p.ActivitySlope, p.ThermalSlope, p.FreqSlope = 0, 0, 0
-		p.MixJitterAmp, p.StallWatts = 0, 0
+		p = p.Ideal()
 	}
-	o := s.Params
-	if o.SPpJ != 0 {
-		p.SPpJ = o.SPpJ
-	}
-	if o.DPpJ != 0 {
-		p.DPpJ = o.DPpJ
-	}
-	if o.IntpJ != 0 {
-		p.IntpJ = o.IntpJ
-	}
-	if o.SharedpJ != 0 {
-		p.SharedpJ = o.SharedpJ
-	}
-	if o.L2pJ != 0 {
-		p.L2pJ = o.L2pJ
-	}
-	if o.DRAMpJ != 0 {
-		p.DRAMpJ = o.DRAMpJ
-	}
-	if o.LeakProcWpV != 0 {
-		p.LeakProcWpV = o.LeakProcWpV
-	}
-	if o.LeakMemWpV != 0 {
-		p.LeakMemWpV = o.LeakMemWpV
-	}
-	if o.MiscW != 0 {
-		p.MiscW = o.MiscW
-	}
-	if o.ActivitySlope != 0 {
-		p.ActivitySlope = o.ActivitySlope
-	}
-	if o.ThermalSlope != 0 {
-		p.ThermalSlope = o.ThermalSlope
-	}
-	if o.FreqSlope != 0 {
-		p.FreqSlope = o.FreqSlope
-	}
-	if o.MixJitterAmp != 0 {
-		p.MixJitterAmp = o.MixJitterAmp
-	}
-	if o.StallWatts != 0 {
-		p.StallWatts = o.StallWatts
+	dst := reflect.ValueOf(&p).Elem()
+	src := reflect.ValueOf(&s.Params).Elem()
+	for i := range src.NumField() {
+		// A declared -0 compares equal to 0, so it inherits too.
+		if f := src.Field(i); f.Float() != 0 {
+			dst.Field(i).Set(f)
+		}
 	}
 	return p
 }
