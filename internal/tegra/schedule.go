@@ -29,13 +29,14 @@ func (s Schedule) PowerAt(t units.Second) units.Watt {
 	if t < 0 {
 		return s.Execs[0].PowerAt(-1)
 	}
-	for _, e := range s.Execs {
+	for i := range s.Execs {
+		e := &s.Execs[i]
 		if t < e.Time {
 			return e.PowerAt(t)
 		}
 		t -= e.Time
 	}
-	last := s.Execs[len(s.Execs)-1]
+	last := &s.Execs[len(s.Execs)-1]
 	return last.PowerAt(last.Time + 1)
 }
 
