@@ -64,9 +64,9 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 15*time.Second, "health loop tick period (quarantine + probe; fleet mode only); 0 disables")
 	quarantineAfter := flag.Int("quarantine-after", 2, "consecutive health ticks with an open breaker before a device is quarantined")
 	probeBackoff := flag.Duration("probe-backoff", 30*time.Second, "base wait before a quarantined device's first recovery probe (doubles per failure)")
-	driftThreshold := flag.Float64("drift-threshold", 0.75, "CUSUM threshold on accumulated relative residual before recalibration; 0 disables the drift watchdog")
-	driftSlack := flag.Float64("drift-slack", 0.05, "per-observation relative residual absorbed before drift accumulates")
-	driftWindow := flag.Int("drift-window", 32, "sweep candidates folded into the drift statistic per observation")
+	driftThreshold := flag.Float64("drift-threshold", 0.75, "CUSUM threshold on accumulated relative residual before recalibration (fleet mode only); 0 disables the drift watchdog")
+	driftSlack := flag.Float64("drift-slack", 0.05, "per-observation relative residual absorbed before drift accumulates (fleet mode only)")
+	driftWindow := flag.Int("drift-window", 32, "sweep candidates folded into the drift statistic per observation (fleet mode only)")
 	app.Parse()
 	drift, err := driftConfig(*driftWindow, *driftSlack, *driftThreshold)
 	if err != nil {
