@@ -192,33 +192,35 @@ func (s *Server) predict(node *fleet.Node, req PredictRequest, named bool) reply
 //
 //energylint:hotpath
 func predictKey(req PredictRequest) string {
-	p := req.Profile
 	b := make([]byte, 0, 192)
 	b = append(b, "p id="...)
 	b = append(b, req.SettingID...)
-	b = append(b, " t="...)
-	b = strconv.AppendFloat(b, float64(req.TimeS), 'g', -1, 64)
-	b = append(b, " occ="...)
-	b = strconv.AppendFloat(b, float64(req.Occupancy), 'g', -1, 64)
+	b = appendKeyFloat(b, " t=", float64(req.TimeS))
+	b = appendKeyFloat(b, " occ=", float64(req.Occupancy))
 	if req.Setting != nil {
-		b = append(b, " core="...)
-		b = strconv.AppendFloat(b, float64(req.Setting.CoreMHz), 'g', -1, 64)
-		b = append(b, " mem="...)
-		b = strconv.AppendFloat(b, float64(req.Setting.MemMHz), 'g', -1, 64)
+		b = appendKeyFloat(b, " core=", float64(req.Setting.CoreMHz))
+		b = appendKeyFloat(b, " mem=", float64(req.Setting.MemMHz))
 	}
-	fields := [...]struct {
-		label string
-		v     units.Count
-	}{
-		{" sp=", p.SP}, {" fma=", p.DPFMA}, {" add=", p.DPAdd},
-		{" mul=", p.DPMul}, {" int=", p.Int}, {" sm=", p.SharedWords},
-		{" l1=", p.L1Words}, {" l2=", p.L2Words}, {" dram=", p.DRAMWords},
-	}
-	for _, f := range fields {
-		b = append(b, f.label...)
-		b = strconv.AppendFloat(b, float64(f.v), 'g', -1, 64)
-	}
-	return string(b)
+	return string(appendProfileKey(b, req.Profile.profile()))
+}
+
+// appendProfileKey appends the profile's part of the cache and routing
+// keys, " sp=… fma=… … dram=…".
+func appendProfileKey(b []byte, p counters.Profile) []byte {
+	b = appendKeyFloat(b, " sp=", p.SP)
+	b = appendKeyFloat(b, " fma=", p.DPFMA)
+	b = appendKeyFloat(b, " add=", p.DPAdd)
+	b = appendKeyFloat(b, " mul=", p.DPMul)
+	b = appendKeyFloat(b, " int=", p.Int)
+	b = appendKeyFloat(b, " sm=", p.SharedWords)
+	b = appendKeyFloat(b, " l1=", p.L1Words)
+	b = appendKeyFloat(b, " l2=", p.L2Words)
+	return appendKeyFloat(b, " dram=", p.DRAMWords)
+}
+
+// appendKeyFloat appends label and v formatted as %g would.
+func appendKeyFloat(b []byte, label string, v float64) []byte {
+	return strconv.AppendFloat(append(b, label...), v, 'g', -1, 64)
 }
 
 // AutotuneRequest asks for the energy-optimal (f_core, f_mem) pair for
@@ -405,22 +407,34 @@ func scoreSweep(m *core.Model, gridName string, cands []core.Candidate) *Autotun
 // autotuneKey canonicalizes a sweep request for one device's cache. Two
 // requests with the same key are guaranteed to produce identical sweeps
 // (the measurement noise is seeded by setting identity and the device's
-// campaign seed alone).
+// campaign seed alone). Like predictKey it is built with appends, and
+// its bytes stay those of the original fmt encoding; see
+// TestSweepKeyBytes.
+//
+//energylint:hotpath
 func autotuneKey(grid string, wl tegra.Workload, seed int64) string {
-	return fmt.Sprintf("g=%s occ=%g seed=%d %s", grid, wl.Occupancy, seed, profileKey(wl.Profile))
+	b := appendSweepHead(make([]byte, 0, 192), grid, wl)
+	b = append(b, " seed="...)
+	b = strconv.AppendInt(b, seed, 10)
+	return string(appendProfileKey(b, wl.Profile))
 }
 
 // workloadKey canonicalizes a sweep request for routing: the
 // device-independent part of autotuneKey, so the same workload hashes
-// to the same device no matter which device ends up serving it.
+// to the same device no matter which device ends up serving it. It
+// feeds the consistent-hash ring, so a changed byte would remap every
+// cached sweep.
+//
+//energylint:hotpath
 func workloadKey(grid string, wl tegra.Workload) string {
-	return fmt.Sprintf("g=%s occ=%g %s", grid, wl.Occupancy, profileKey(wl.Profile))
+	b := appendSweepHead(make([]byte, 0, 192), grid, wl)
+	return string(appendProfileKey(b, wl.Profile))
 }
 
-func profileKey(p counters.Profile) string {
-	return fmt.Sprintf("sp=%g fma=%g add=%g mul=%g int=%g sm=%g l1=%g l2=%g dram=%g",
-		p.SP, p.DPFMA, p.DPAdd, p.DPMul, p.Int,
-		p.SharedWords, p.L1Words, p.L2Words, p.DRAMWords)
+func appendSweepHead(b []byte, grid string, wl tegra.Workload) []byte {
+	b = append(b, "g="...)
+	b = append(b, grid...)
+	return appendKeyFloat(b, " occ=", float64(wl.Occupancy))
 }
 
 // CalibrationResponse summarizes one device's loaded calibration: the
@@ -603,14 +617,6 @@ func decodeJSON(r *http.Request, dst any) (rep reply, ok bool) {
 		return fail(http.StatusBadRequest, "bad request body: trailing data after the JSON value", ""), false
 	}
 	return reply{}, true
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // ErrorJSON is the wire form of every energyd error. DeviceID names the

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"dvfsroofline/internal/counters"
+	"dvfsroofline/internal/tegra"
 	"dvfsroofline/internal/units"
 )
 
@@ -25,26 +27,28 @@ func fmtPredictKey(req PredictRequest) string {
 	return s
 }
 
-func TestPredictKeyBytes(t *testing.T) {
-	// Values chosen to cross every %g formatting regime: zero, negative
-	// zero, integers, shortest-repr fractions, the 1e-5/1e21 switchover
-	// to exponent notation, subnormals, huge magnitudes, and the
-	// non-finite values a hostile request body can smuggle in.
-	vals := []float64{
-		0, math.Copysign(0, -1), 1, -1, 0.25, 1.5e6, 1234.5678,
-		1e-4, 9.999e-5, 1e-5, 1e20, 1e21, 1e22, 5e-324,
-		math.MaxFloat64, -math.MaxFloat64,
-		math.Inf(1), math.Inf(-1), math.NaN(),
-		0.1, 1.0 / 3.0, 2.5e8,
-	}
-	ids := []string{"", "S1", "max", "weird id \x00\xff"}
+// keyVals cross every %g formatting regime: zero, negative zero,
+// integers, shortest-repr fractions, the 1e-5/1e21 switchover to
+// exponent notation, subnormals, huge magnitudes, and the non-finite
+// values a hostile request body can smuggle in.
+var keyVals = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.25, 1.5e6, 1234.5678,
+	1e-4, 9.999e-5, 1e-5, 1e20, 1e21, 1e22, 5e-324,
+	math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	0.1, 1.0 / 3.0, 2.5e8,
+}
 
+// keyIDs are the grid names and setting IDs the key tests mix in.
+var keyIDs = []string{"", "S1", "max", "weird id \x00\xff"}
+
+func TestPredictKeyBytes(t *testing.T) {
 	reqs := []PredictRequest{}
-	for i, v := range vals {
-		w := vals[(i+7)%len(vals)]
+	for i, v := range keyVals {
+		w := keyVals[(i+7)%len(keyVals)]
 		reqs = append(reqs,
 			PredictRequest{
-				SettingID: ids[i%len(ids)],
+				SettingID: keyIDs[i%len(keyIDs)],
 				TimeS:     units.Second(v),
 				Occupancy: units.Ratio(w),
 				Profile: ProfileJSON{
@@ -66,6 +70,46 @@ func TestPredictKeyBytes(t *testing.T) {
 		got, want := predictKey(req), fmtPredictKey(req)
 		if got != want {
 			t.Errorf("predictKey diverged from the fmt encoding:\n got %q\nwant %q", got, want)
+		}
+	}
+}
+
+// The original fmt-based encodings of the sweep keys, kept as the
+// oracle: workloadKey feeds the consistent-hash ring and autotuneKey
+// names every cached sweep, so the append rewrites must match them byte
+// for byte.
+func fmtAutotuneKey(grid string, wl tegra.Workload, seed int64) string {
+	return fmt.Sprintf("g=%s occ=%g seed=%d %s", grid, wl.Occupancy, seed, fmtProfileKey(wl.Profile))
+}
+
+func fmtWorkloadKey(grid string, wl tegra.Workload) string {
+	return fmt.Sprintf("g=%s occ=%g %s", grid, wl.Occupancy, fmtProfileKey(wl.Profile))
+}
+
+func fmtProfileKey(p counters.Profile) string {
+	return fmt.Sprintf("sp=%g fma=%g add=%g mul=%g int=%g sm=%g l1=%g l2=%g dram=%g",
+		p.SP, p.DPFMA, p.DPAdd, p.DPMul, p.Int,
+		p.SharedWords, p.L1Words, p.L2Words, p.DRAMWords)
+}
+
+func TestSweepKeyBytes(t *testing.T) {
+	seeds := []int64{0, 1, -1, 42, math.MaxInt64, math.MinInt64}
+	for i, v := range keyVals {
+		w := keyVals[(i+7)%len(keyVals)]
+		wl := tegra.Workload{
+			Occupancy: units.Ratio(v),
+			Profile: counters.Profile{
+				SP: v, DPFMA: w, DPAdd: -v, DPMul: v * 3, Int: w / 7,
+				SharedWords: v, L1Words: w, L2Words: v + w, DRAMWords: v - w,
+			},
+		}
+		grid := keyIDs[i%len(keyIDs)]
+		if got, want := workloadKey(grid, wl), fmtWorkloadKey(grid, wl); got != want {
+			t.Errorf("workloadKey diverged from the fmt encoding:\n got %q\nwant %q", got, want)
+		}
+		seed := seeds[i%len(seeds)]
+		if got, want := autotuneKey(grid, wl, seed), fmtAutotuneKey(grid, wl, seed); got != want {
+			t.Errorf("autotuneKey diverged from the fmt encoding:\n got %q\nwant %q", got, want)
 		}
 	}
 }

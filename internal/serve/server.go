@@ -237,22 +237,19 @@ func fail(code int, msg, device string) reply {
 	return reply{code, ErrorJSON{Error: msg, DeviceID: device}, device}
 }
 
-// instrument is the one writer of the instrumented endpoints: it caps
-// the body, runs the handler, names the reply's device in a header (so
-// success bodies stay the same for one device or fifty), writes the
-// body, and records in-flight, count and latency under the status sent.
+// instrument wraps each instrumented endpoint: it caps the body, runs
+// the handler, writes the reply through writeJSON (which names the
+// reply's device in a header, so success bodies stay the same for one
+// device or fifty), and records in-flight, count and latency under the
+// status writeJSON sent.
 func (s *Server) instrument(endpoint string, h func(*http.Request) reply) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.addInflight(1)
 		defer s.metrics.addInflight(-1)
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		start := s.clock()
-		rep := h(r)
-		if rep.device != "" {
-			w.Header().Set("X-Energyd-Device", rep.device)
-		}
-		writeJSON(w, rep.code, rep.body)
-		s.metrics.observe(endpoint, rep.code, s.clock().Sub(start).Seconds())
+		code := writeJSON(w, h(r))
+		s.metrics.observe(endpoint, code, s.clock().Sub(start).Seconds())
 	})
 }
 

@@ -56,7 +56,7 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorJSON{Error: "GET only"})
+		writeJSON(w, fail(http.StatusMethodNotAllowed, "GET only", ""))
 		return
 	}
 	snap := s.snapshot()
@@ -88,5 +88,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Endpoints[ep] = e
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, reply{http.StatusOK, resp, ""})
 }
