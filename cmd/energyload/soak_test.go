@@ -278,12 +278,15 @@ type membershipHarness struct {
 	clk    *workload.StepClock
 	reg    *fleet.Registry
 	health *fleet.Health
-	target workload.HandlerTarget
+	target workload.AdminTarget
 	plan   *workload.ChurnPlan
 	extras map[string]int // hook-issued requests per endpoint label
 }
 
-func newMembershipHarness(t *testing.T) *membershipHarness {
+// newMembershipHarness wires a chaos soak instance whose trace traffic,
+// churn calls and stats reads all go through the target that via builds
+// around the fleet server's handler.
+func newMembershipHarness(t *testing.T, via func(http.Handler) workload.AdminTarget) *membershipHarness {
 	t.Helper()
 	clk := workload.NewStepClock(time.Millisecond)
 	fc := fleet.FleetConfig{Seed: 42, Devices: []fleet.Spec{
@@ -318,7 +321,7 @@ func newMembershipHarness(t *testing.T) *membershipHarness {
 	h := &membershipHarness{
 		clk:    clk,
 		reg:    reg,
-		target: workload.HandlerTarget{Handler: srv.Handler()},
+		target: via(srv.Handler()),
 		extras: make(map[string]int),
 	}
 	// Probe backoffs are tiny because the step clock advances ~4 virtual
@@ -376,12 +379,19 @@ func newMembershipHarness(t *testing.T) *membershipHarness {
 	return h
 }
 
-// replayMembershipSoak runs the chaos soak once and returns the report
-// bytes plus the harness for post-mortem assertions.
+// replayMembershipSoak runs the chaos soak once in-process and returns
+// the report bytes plus the harness for post-mortem assertions.
 func replayMembershipSoak(t *testing.T) ([]byte, *membershipHarness) {
 	t.Helper()
+	return replayMembershipSoakVia(t, func(h http.Handler) workload.AdminTarget { return workload.HandlerTarget{Handler: h} })
+}
+
+// replayMembershipSoakVia runs the chaos soak once through the target
+// that via builds around the fleet server's handler.
+func replayMembershipSoakVia(t *testing.T, via func(http.Handler) workload.AdminTarget) ([]byte, *membershipHarness) {
+	t.Helper()
 	tr := readSoakTrace(t)
-	h := newMembershipHarness(t)
+	h := newMembershipHarness(t, via)
 	ctx := context.Background()
 	churn := h.plan.Hook(ctx, h.target)
 	rep, err := workload.Replay(ctx, tr, h.target, workload.ReplayOptions{
@@ -411,6 +421,22 @@ func TestMembershipSoakByteIdentical(t *testing.T) {
 	b, _ := replayMembershipSoak(t)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two chaos replays against identically-seeded fleets differ:\n--- a\n%s\n--- b\n%s", a, b)
+	}
+}
+
+// TestMembershipSoakHTTPTarget replays the chaos soak, churn plan
+// included, through HTTPTarget over a real listener and requires the
+// in-process report byte for byte: the add, drain and drift-trigger
+// calls go through HTTPTarget.Admin, and every status, device header
+// and /v1/stats counter must survive the wire.
+func TestMembershipSoakHTTPTarget(t *testing.T) {
+	got, _ := replayMembershipSoakVia(t, func(h http.Handler) workload.AdminTarget {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return workload.HTTPTarget{Base: ts.URL, Client: ts.Client()}
+	})
+	if want, _ := replayMembershipSoak(t); !bytes.Equal(got, want) {
+		t.Fatalf("HTTP chaos replay report differs from the in-process one:\n--- http\n%s\n--- in-process\n%s", got, want)
 	}
 }
 
