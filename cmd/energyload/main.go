@@ -184,10 +184,14 @@ func runReplay(args []string) error {
 	return closeW()
 }
 
-// defaultFleetConfig is the built-in 3-device heterogeneous fleet,
-// mirroring cmd/energyd/testdata/fleet.json: the TK1 reference, a hot
-// leaky bin, and a frequency-capped low-power SKU. Synthetic noiseless
-// calibrations boot each device instantly and deterministically.
+// defaultFleetConfig is the built-in 3-device heterogeneous fleet: the
+// TK1 reference, a hot leaky bin, and a frequency-capped low-power SKU.
+// It is the benchmark's serving fleet, the same three specs as
+// fleetConfig in bench/serving.go: no fleet seed, and only the few
+// params that set the devices apart (cmd/energyd/testdata/fleet.json
+// names the same devices with a seed and many more params). Synthetic
+// noiseless calibrations boot each device instantly and
+// deterministically.
 func defaultFleetConfig() fleet.FleetConfig {
 	return fleet.FleetConfig{Devices: []fleet.Spec{
 		{ID: "tk1-reference"},

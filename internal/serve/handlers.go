@@ -558,6 +558,23 @@ func cvSummary(r core.CVResult) CVSummaryJSON {
 	}
 }
 
+// namedSetting is one Table IV system setting under its paper label.
+type namedSetting struct {
+	id      string // "S1".."S8"
+	setting dvfs.Setting
+}
+
+// validationSettings is built once so that resolving a setting_id
+// neither rebuilds the settings nor formats a label per request.
+var validationSettings = func() []namedSetting {
+	settings := dvfs.ValidationSettings()
+	out := make([]namedSetting, len(settings))
+	for i, s := range settings {
+		out[i] = namedSetting{id: dvfs.ValidationID(i), setting: s}
+	}
+	return out
+}()
+
 // resolveSetting maps the request's setting selector onto the board's
 // DVFS tables. Exactly one of explicit frequencies or a named ID must be
 // present.
@@ -580,9 +597,9 @@ func (s *Server) resolveSetting(explicit *SettingJSON, id string) (dvfs.Setting,
 	case strings.EqualFold(id, "max"):
 		return dvfs.MaxSetting(), nil
 	default:
-		for i, s := range dvfs.ValidationSettings() {
-			if strings.EqualFold(dvfs.ValidationID(i), id) {
-				return s, nil
+		for _, v := range validationSettings {
+			if strings.EqualFold(v.id, id) {
+				return v.setting, nil
 			}
 		}
 		//energylint:allow hotalloc(client-error exit, not the per-request success path)

@@ -161,6 +161,47 @@ func TestPredictRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// setting_id resolves case-insensitively (with Unicode simple folding,
+// so U+017F "ſ" matches "s") against S1..S8 and max, and nothing else.
+func TestResolveSetting(t *testing.T) {
+	val := dvfs.ValidationSettings()
+	const unknown = `unknown setting_id %q (want S1..S8 or max)`
+	cases := []struct {
+		id      string
+		want    dvfs.Setting
+		wantErr string
+	}{
+		{id: "S1", want: val[0]},
+		{id: "s8", want: val[7]},
+		{id: "\u017f1", want: val[0]},
+		{id: "max", want: dvfs.MaxSetting()},
+		{id: "MAX", want: dvfs.MaxSetting()},
+		{id: "S0", wantErr: fmt.Sprintf(unknown, "S0")},
+		{id: "S9", wantErr: fmt.Sprintf(unknown, "S9")},
+		{id: "S01", wantErr: fmt.Sprintf(unknown, "S01")},
+		{id: "", wantErr: "missing setting or setting_id"},
+	}
+	s := &Server{}
+	for _, c := range cases {
+		got, err := s.resolveSetting(nil, c.id)
+		switch {
+		case c.wantErr != "" && (err == nil || err.Error() != c.wantErr):
+			t.Errorf("resolveSetting(%q) = %v, %v; want error %q", c.id, got, err, c.wantErr)
+		case c.wantErr == "" && (err != nil || got != c.want):
+			t.Errorf("resolveSetting(%q) = %v, %v; want %v", c.id, got, err, c.want)
+		}
+	}
+	for i := range val {
+		if got, err := s.resolveSetting(nil, dvfs.ValidationID(i)); err != nil || got != val[i] {
+			t.Errorf("resolveSetting(%q) = %v, %v; want %v", dvfs.ValidationID(i), got, err, val[i])
+		}
+	}
+	explicit := &SettingJSON{CoreMHz: 852, MemMHz: 924}
+	if _, err := s.resolveSetting(explicit, "S1"); err == nil || err.Error() != "give either setting or setting_id, not both" {
+		t.Errorf("both selectors: err = %v", err)
+	}
+}
+
 func TestConcurrentPredicts(t *testing.T) {
 	// Acceptance bar: >= 64 concurrent /v1/predict requests, race-clean
 	// (the suite runs under -race in CI).

@@ -60,48 +60,28 @@ type AdminTarget interface {
 type HandlerTarget struct{ Handler http.Handler }
 
 func (t HandlerTarget) Do(ctx context.Context, op Op, query string, body []byte) (int, string, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, op.Path()+query, bytes.NewReader(body))
-	if err != nil {
-		return 0, "", nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	rec := &memRecorder{h: make(http.Header)}
-	t.Handler.ServeHTTP(rec, req)
-	return rec.status(), rec.h.Get("X-Energyd-Device"), rec.body.Bytes(), nil
+	return t.roundTrip(ctx, http.MethodPost, op.Path()+query, body)
 }
 
 func (t HandlerTarget) Stats(ctx context.Context) (*serve.StatsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	rec := &memRecorder{h: make(http.Header)}
-	t.Handler.ServeHTTP(rec, req)
-	if rec.status() != http.StatusOK {
-		return nil, fmt.Errorf("workload: /v1/stats = %d: %s", rec.status(), rec.body.String())
-	}
-	var stats serve.StatsResponse
-	if err := json.Unmarshal(rec.body.Bytes(), &stats); err != nil {
-		return nil, fmt.Errorf("workload: decoding /v1/stats: %w", err)
-	}
-	return &stats, nil
+	return decodeStats(t.roundTrip(ctx, http.MethodGet, "/v1/stats", nil))
 }
 
 func (t HandlerTarget) Admin(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, path, rd)
+	status, _, resp, err := t.roundTrip(ctx, method, path, body)
+	return status, resp, err
+}
+
+// roundTrip serves one request into a memRecorder and returns the
+// status, the X-Energyd-Device header and the body the handler wrote.
+func (t HandlerTarget) roundTrip(ctx context.Context, method, path string, body []byte) (int, string, []byte, error) {
+	req, err := newRequest(ctx, method, path, body)
 	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		return 0, "", nil, err
 	}
 	rec := &memRecorder{h: make(http.Header)}
 	t.Handler.ServeHTTP(rec, req)
-	return rec.status(), rec.body.Bytes(), nil
+	return rec.status(), rec.h.Get("X-Energyd-Device"), rec.body.Bytes(), nil
 }
 
 // memRecorder is a minimal in-memory http.ResponseWriter (the stdlib
@@ -139,20 +119,31 @@ type HTTPTarget struct {
 	Client *http.Client
 }
 
-func (t HTTPTarget) client() *http.Client {
-	if t.Client != nil {
-		return t.Client
-	}
-	return http.DefaultClient
+func (t HTTPTarget) Do(ctx context.Context, op Op, query string, body []byte) (int, string, []byte, error) {
+	return t.roundTrip(ctx, http.MethodPost, op.Path()+query, body)
 }
 
-func (t HTTPTarget) Do(ctx context.Context, op Op, query string, body []byte) (int, string, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.Base+op.Path()+query, bytes.NewReader(body))
+func (t HTTPTarget) Stats(ctx context.Context) (*serve.StatsResponse, error) {
+	return decodeStats(t.roundTrip(ctx, http.MethodGet, "/v1/stats", nil))
+}
+
+func (t HTTPTarget) Admin(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
+	status, _, resp, err := t.roundTrip(ctx, method, path, body)
+	return status, resp, err
+}
+
+// roundTrip sends one request to Base+path and returns the status, the
+// X-Energyd-Device header and the whole response body.
+func (t HTTPTarget) roundTrip(ctx context.Context, method, path string, body []byte) (int, string, []byte, error) {
+	req, err := newRequest(ctx, method, t.Base+path, body)
 	if err != nil {
 		return 0, "", nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := t.client().Do(req)
+	client := t.Client
+	if client == nil {
+		client = http.DefaultClient
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return 0, "", nil, err
 	}
@@ -164,49 +155,30 @@ func (t HTTPTarget) Do(ctx context.Context, op Op, query string, body []byte) (i
 	return resp.StatusCode, resp.Header.Get("X-Energyd-Device"), b, nil
 }
 
-func (t HTTPTarget) Admin(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
+// newRequest builds one target request: a nil body is sent as none, and
+// a body is sent as JSON.
+func newRequest(ctx context.Context, method, target string, body []byte) (*http.Request, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, t.Base+path, rd)
-	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
+	req, err := http.NewRequestWithContext(ctx, method, target, rd)
+	if err == nil && body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := t.client().Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, b, nil
+	return req, err
 }
 
-func (t HTTPTarget) Stats(ctx context.Context) (*serve.StatsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.Base+"/v1/stats", nil)
+// decodeStats turns a /v1/stats round trip into the snapshot it carries.
+func decodeStats(status int, _ string, body []byte, err error) (*serve.StatsResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := t.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("workload: /v1/stats = %d: %s", resp.StatusCode, b)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("workload: /v1/stats = %d: %s", status, body)
 	}
 	var stats serve.StatsResponse
-	if err := json.Unmarshal(b, &stats); err != nil {
+	if err := json.Unmarshal(body, &stats); err != nil {
 		return nil, fmt.Errorf("workload: decoding /v1/stats: %w", err)
 	}
 	return &stats, nil
@@ -286,61 +258,53 @@ func Replay(ctx context.Context, tr *Trace, target Target, opts ReplayOptions) (
 	if speed <= 0 {
 		speed = 1
 	}
-	var outs []outcome
 	switch opts.Mode {
 	case ModeSync:
-		outs = make([]outcome, len(tr.Events))
-		for i := range tr.Events {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if opts.BeforeEvent != nil {
-				if err := opts.BeforeEvent(i); err != nil {
-					return nil, fmt.Errorf("workload: before event %d: %w", i, err)
-				}
-			}
-			outs[i] = issue(ctx, target, &tr.Events[i], opts)
-		}
 	case ModeOpen:
 		if opts.Sleep == nil {
 			return nil, fmt.Errorf("workload: open mode needs ReplayOptions.Sleep")
 		}
-		outs = make([]outcome, len(tr.Events))
-		start := opts.Now()
-		var wg sync.WaitGroup
-		for i := range tr.Events {
-			if err := ctx.Err(); err != nil {
-				wg.Wait()
-				return nil, err
-			}
+	default:
+		return nil, fmt.Errorf("workload: unknown replay mode %q", opts.Mode)
+	}
+	open := opts.Mode == ModeOpen
+	var start time.Time
+	if open {
+		start = opts.Now()
+	}
+	outs := make([]outcome, len(tr.Events))
+	var wg sync.WaitGroup
+	defer wg.Wait() // an early return leaves no open-mode request in flight
+	for i := range tr.Events {
+		if open {
+			// Pace: wait until the event's scaled send offset.
 			due := time.Duration(tr.Events[i].AtS / speed * float64(time.Second))
-			for {
-				elapsed := opts.Now().Sub(start)
-				if elapsed >= due {
-					break
-				}
+			for elapsed := opts.Now().Sub(start); elapsed < due; elapsed = opts.Now().Sub(start) {
 				if err := ctx.Err(); err != nil {
-					wg.Wait()
 					return nil, err
 				}
 				opts.Sleep(due - elapsed)
 			}
-			if opts.BeforeEvent != nil {
-				if err := opts.BeforeEvent(i); err != nil {
-					wg.Wait()
-					return nil, fmt.Errorf("workload: before event %d: %w", i, err)
-				}
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				outs[i] = issue(ctx, target, &tr.Events[i], opts)
-			}(i)
 		}
-		wg.Wait()
-	default:
-		return nil, fmt.Errorf("workload: unknown replay mode %q", opts.Mode)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if opts.BeforeEvent != nil {
+			if err := opts.BeforeEvent(i); err != nil {
+				return nil, fmt.Errorf("workload: before event %d: %w", i, err)
+			}
+		}
+		if !open {
+			outs[i] = issue(ctx, target, &tr.Events[i], opts)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = issue(ctx, target, &tr.Events[i], opts)
+		}()
 	}
+	wg.Wait()
 	stats, err := target.Stats(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("workload: fetching final server stats: %w", err)
