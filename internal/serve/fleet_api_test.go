@@ -473,3 +473,50 @@ func TestFleetPlaceHoldsSweptDevice(t *testing.T) {
 		t.Errorf("in-flight load after the placement = %d, want 0", got)
 	}
 }
+
+// TestFleetPlaceSkipOrder pins the order of a placement's skip list:
+// devices the breaker refused come first, in node order, then devices
+// whose sweep failed. node-a sorts first but fails its sweep, so the
+// refused node-b must still lead the list.
+func TestFleetPlaceSkipOrder(t *testing.T) {
+	cal, err := serve.FixtureCalibration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := experiments.Config{
+		Seed:   42,
+		Faults: faults.Plan{Seed: 1, MeterDisconnect: 1}, // every attempt fails
+		Retry:  faults.Retry{MaxAttempts: 1},
+	}
+	nodes := []*fleet.Node{
+		fleet.NewNode("node-a", tegra.NewDevice(), cal, failing, fullGrids(t), fleet.NodeOptions{}),
+		fleet.NewNode("node-b", tegra.NewDevice(), cal, experiments.Config{Seed: 42}, fullGrids(t), fleet.NodeOptions{}),
+		fleet.NewNode("node-c", tegra.NewDevice(), cal, experiments.Config{Seed: 42}, fullGrids(t), fleet.NodeOptions{}),
+	}
+	nodes[1].Breaker.ForceOpen(true)
+	reg, err := fleet.NewRegistry(nodes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := post(t, serve.NewFleet(reg, serve.Options{}).Handler(), "/v1/fleet/place",
+		`{"profile": {"dp_fma": 2e8, "dram_words": 5e7}, "occupancy": 0.9}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("place = %d: %s", w.Code, w.Body)
+	}
+	var resp serve.PlaceResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Devices) != 1 || resp.Devices[0].DeviceID != "node-c" || resp.Winner != "node-c" {
+		t.Fatalf("placed on %+v (winner %q), want node-c alone", resp.Devices, resp.Winner)
+	}
+	if len(resp.Skipped) != 2 {
+		t.Fatalf("skipped %+v, want node-b then node-a", resp.Skipped)
+	}
+	if got := resp.Skipped[0]; got.DeviceID != "node-b" || got.Reason != "sweep breaker open and no cached sweep" {
+		t.Errorf("first skip = %+v, want the breaker-refused node-b", got)
+	}
+	if got := resp.Skipped[1]; got.DeviceID != "node-a" || got.Reason == "" {
+		t.Errorf("second skip = %+v, want the failed sweep of node-a", got)
+	}
+}

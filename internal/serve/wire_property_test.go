@@ -140,6 +140,81 @@ func TestWireEncodingMatchesRawFloats(t *testing.T) {
 	}
 }
 
+type rawPick struct {
+	Setting    rawSettingInfo `json:"setting"`
+	TimeS      float64        `json:"time_s"`
+	PredictedJ float64        `json:"predicted_j"`
+	MeasuredJ  float64        `json:"measured_j"`
+}
+
+type rawAutotuneResponse struct {
+	Grid                 string  `json:"grid"`
+	Candidates           int     `json:"candidates"`
+	Cached               bool    `json:"cached"`
+	Degraded             bool    `json:"degraded"`
+	Model                rawPick `json:"model"`
+	TimeOracle           rawPick `json:"time_oracle"`
+	MeasuredMin          rawPick `json:"measured_min"`
+	ModelExtraEnergyPct  float64 `json:"model_extra_energy_pct"`
+	OracleExtraEnergyPct float64 `json:"oracle_extra_energy_pct"`
+}
+
+type rawDevicePlacement struct {
+	DeviceID             string  `json:"device_id"`
+	Candidates           int     `json:"candidates"`
+	Model                rawPick `json:"model"`
+	TimeOracle           rawPick `json:"time_oracle"`
+	MeasuredMin          rawPick `json:"measured_min"`
+	ModelExtraEnergyPct  float64 `json:"model_extra_energy_pct"`
+	OracleExtraEnergyPct float64 `json:"oracle_extra_energy_pct"`
+}
+
+// TestPicksWireShape pins the /v1/autotune body and the /v1/fleet/place
+// device row field by field: both carry the three §II-E picks and the
+// two extra-energy percentages, flat, after their own leading fields.
+// The values are set through field selectors so the test reads the
+// same however the two types compose the picks.
+func TestPicksWireShape(t *testing.T) {
+	picks := [3]serve.PickJSON{
+		{Setting: serve.SettingInfo{CoreMHz: 852, CoreMV: 1030, MemMHz: 924, MemMV: 1010}, TimeS: 0.2, PredictedJ: 1.5, MeasuredJ: 1.6},
+		{Setting: serve.SettingInfo{CoreMHz: 756, CoreMV: 960, MemMHz: 792, MemMV: 1000}, TimeS: 0.25, PredictedJ: 1.4, MeasuredJ: 1.45},
+		{Setting: serve.SettingInfo{CoreMHz: 564, CoreMV: 880, MemMHz: 528, MemMV: 950}, TimeS: 0.3, PredictedJ: 1.3, MeasuredJ: 1.35},
+	}
+	raw := func(p serve.PickJSON) rawPick {
+		s := p.Setting
+		return rawPick{
+			Setting: rawSettingInfo{CoreMHz: float64(s.CoreMHz), CoreMV: float64(s.CoreMV), MemMHz: float64(s.MemMHz), MemMV: float64(s.MemMV)},
+			TimeS:   float64(p.TimeS), PredictedJ: float64(p.PredictedJ), MeasuredJ: float64(p.MeasuredJ),
+		}
+	}
+
+	var at serve.AutotuneResponse
+	at.Grid, at.Candidates, at.Cached, at.Degraded = "full", 105, true, true
+	at.Model, at.TimeOracle, at.MeasuredMin = picks[0], picks[1], picks[2]
+	at.ModelExtraEnergyPct, at.OracleExtraEnergyPct = 18.5, 7.25
+	rawAt := rawAutotuneResponse{
+		Grid: "full", Candidates: 105, Cached: true, Degraded: true,
+		Model: raw(picks[0]), TimeOracle: raw(picks[1]), MeasuredMin: raw(picks[2]),
+		ModelExtraEnergyPct: 18.5, OracleExtraEnergyPct: 7.25,
+	}
+	if got, want := mustJSON(t, at), mustJSON(t, rawAt); !bytes.Equal(got, want) {
+		t.Errorf("AutotuneResponse encoding drifted:\n typed %s\n raw   %s", got, want)
+	}
+
+	var dp serve.DevicePlacement
+	dp.DeviceID, dp.Candidates = "tk1-reference", 16
+	dp.Model, dp.TimeOracle, dp.MeasuredMin = picks[0], picks[1], picks[2]
+	dp.ModelExtraEnergyPct, dp.OracleExtraEnergyPct = 18.5, 7.25
+	rawDp := rawDevicePlacement{
+		DeviceID: "tk1-reference", Candidates: 16,
+		Model: raw(picks[0]), TimeOracle: raw(picks[1]), MeasuredMin: raw(picks[2]),
+		ModelExtraEnergyPct: 18.5, OracleExtraEnergyPct: 7.25,
+	}
+	if got, want := mustJSON(t, dp), mustJSON(t, rawDp); !bytes.Equal(got, want) {
+		t.Errorf("DevicePlacement encoding drifted:\n typed %s\n raw   %s", got, want)
+	}
+}
+
 // TestWireRoundTripMatchesRawFloats pushes the fuzz seed fixtures —
 // bodies derived from cmd/energyd/testdata plus the handwritten valid
 // cases — through decode→encode on both the typed and raw mirrors and
