@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 
-	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/par"
 )
 
@@ -68,13 +67,6 @@ type Result struct {
 	// Profiles hold the per-phase operation profiles — the performance-
 	// counter view of the run that feeds the energy model.
 	Profiles PhaseProfiles
-	// SetupEvals counts kernel evaluations spent precomputing operators
-	// (done on the host in the paper's implementation, hence kept out of
-	// the device phases). Operators exist only for levels from farLevel
-	// (2) down, so a tree of depth 0 or 1 counts none.
-	SetupEvals int64
-	// Options echoes the effective (defaulted) options.
-	Options Options
 }
 
 // Evaluate computes the N-body potentials f(x_i) = Σ_j K(x_i, y_j)·s_j
@@ -116,7 +108,7 @@ func newEngine(tree *Tree, densities []float64, opt Options) *engine {
 	e.byLevel = groupByLevel(tree)
 
 	// Warm the operator cache level by level before the parallel phases,
-	// so SetupEvals is deterministic and contention-free.
+	// so the builds are contention-free.
 	for lvl := farLevel; lvl < len(e.byLevel); lvl++ {
 		e.ops.at(lvl)
 	}
@@ -164,8 +156,6 @@ func (e *engine) result() *Result {
 		Potentials: out,
 		Tree:       tree,
 		Profiles:   profiles,
-		SetupEvals: e.ops.evalCount.Load(),
-		Options:    e.opt,
 	}
 }
 
@@ -177,10 +167,6 @@ func evaluateOnTree(tree *Tree, densities []float64, opt Options) (*Result, erro
 	e.uPhase()
 	return e.result(), nil
 }
-
-// Workload converts a phase profile into a device workload with the
-// phase's characteristic occupancy.
-func (r *Result) Workload(ph Phase) counters.Profile { return r.Profiles[ph] }
 
 type engine struct {
 	t    *Tree

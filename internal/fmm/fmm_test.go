@@ -132,34 +132,46 @@ func TestEvaluateShallowTrees(t *testing.T) {
 				if err > tc.tolerance {
 					t.Errorf("relative L2 error %.2e, want at most %.0e", err, tc.tolerance)
 				}
-				if res.Tree.Depth() < farLevel && res.SetupEvals != 0 {
-					t.Errorf("%d setup evaluations for a tree with no far field", res.SetupEvals)
-				}
 			})
 		}
 	}
 }
 
 // TestOperatorsStartAtFarLevel checks that newEngine builds operators
-// only for the levels that have far-field work.
+// only for the levels that have far-field work: none for trees of depth
+// 0 and 1, and one set per level from farLevel down otherwise.
 func TestOperatorsStartAtFarLevel(t *testing.T) {
-	pts := GeneratePoints(Plummer, 1000, 1)
-	opt, err := Options{Q: 40}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := BuildTree(pts, opt.Q, opt.MaxLevel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(tree, GenerateDensities(len(pts), 2), opt)
-	for lvl := range e.ops.levels {
-		if lvl < farLevel {
-			t.Errorf("operators built for level %d, above farLevel %d", lvl, farLevel)
+	for _, tc := range []struct {
+		d     Distribution
+		n, q  int
+		seed  int64
+		depth int
+	}{
+		{Uniform, 50, 128, 8, 0},
+		{Uniform, 300, 64, 14, 1},
+		{Plummer, 1000, 40, 1, -1},
+	} {
+		pts := GeneratePoints(tc.d, tc.n, tc.seed)
+		opt, err := Options{Q: tc.q}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got, want := len(e.ops.levels), tree.Depth()+1-farLevel; got != want {
-		t.Errorf("operators for %d levels, want %d (levels %d..%d)", got, want, farLevel, tree.Depth())
+		tree, err := BuildTree(pts, opt.Q, opt.MaxLevel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.depth >= 0 && tree.Depth() != tc.depth {
+			t.Fatalf("tree depth %d, want %d", tree.Depth(), tc.depth)
+		}
+		e := newEngine(tree, GenerateDensities(len(pts), 2), opt)
+		for lvl := range e.ops.levels {
+			if lvl < farLevel {
+				t.Errorf("depth %d: operators built for level %d, above farLevel %d", tree.Depth(), lvl, farLevel)
+			}
+		}
+		if got, want := len(e.ops.levels), max(0, tree.Depth()+1-farLevel); got != want {
+			t.Errorf("depth %d: operators for %d levels, want %d", tree.Depth(), got, want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package fmm
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"dvfsroofline/internal/linalg"
 )
@@ -39,12 +38,6 @@ type operatorSet struct {
 
 	mu     sync.Mutex
 	levels map[int]*levelOps
-
-	// evalCount tallies kernel evaluations spent building operators; the
-	// paper's GPU implementation precomputes these on the host, so they
-	// are reported separately from the device phases. Builds of
-	// different levels hold different locks, so the tally is atomic.
-	evalCount atomic.Int64
 }
 
 func newOperatorSet(k Kernel, surfaceOrder int, rootHalf float64) *operatorSet {
@@ -73,7 +66,6 @@ func (o *operatorSet) kernelMatrix(targets, sources []Point) *linalg.Matrix {
 			row[j] = o.kernel.Eval(t.X-s.X, t.Y-s.Y, t.Z-s.Z)
 		}
 	}
-	o.evalCount.Add(int64(len(targets) * len(sources)))
 	return m
 }
 

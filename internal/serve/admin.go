@@ -47,10 +47,10 @@ type RemoveDeviceResponse struct {
 	Graceful bool `json:"graceful"`
 }
 
-// adminGate refuses the membership verbs on the legacy single-device
-// server and on fleets built without an Admin.
+// adminGate refuses the membership verbs on fleets built without an
+// Admin, which includes every legacy single-device server.
 func (s *Server) adminGate() (rep reply, ok bool) {
-	if s.legacy || s.admin == nil {
+	if s.opts.Admin == nil {
 		return fail(http.StatusForbidden, "fleet membership admin is disabled", ""), false
 	}
 	return reply{}, true
@@ -74,7 +74,7 @@ func (s *Server) handleFleetDeviceAdd(r *http.Request) reply {
 	if _, ok := s.reg.Get(spec.ID); ok {
 		return fail(http.StatusConflict, fmt.Sprintf("device %q already in the fleet", spec.ID), spec.ID)
 	}
-	node, err := s.admin.BuildNode(spec)
+	node, err := s.opts.Admin.BuildNode(spec)
 	if err != nil {
 		return fail(http.StatusBadRequest, err.Error(), "")
 	}
@@ -98,7 +98,7 @@ func (s *Server) handleFleetDeviceAdd(r *http.Request) reply {
 // it on the ring; on failure the device leaves the fleet again — a node
 // that cannot calibrate must not linger in limbo holding its ID.
 func (s *Server) calibrateAndActivate(node *fleet.Node) error {
-	cal, err := s.admin.Calibrate(node.Spec)
+	cal, err := s.opts.Admin.Calibrate(node.Spec)
 	if err != nil {
 		_ = s.reg.Evict(node.ID)
 		return fmt.Errorf("calibrating device %q: %w", node.ID, err)
@@ -136,7 +136,7 @@ func (s *Server) handleFleetDevice(r *http.Request) reply {
 	case "evict":
 		err = s.reg.Evict(id)
 	case "drain":
-		deadline := s.drainDeadline
+		deadline := s.opts.DrainDeadline
 		if ds := r.URL.Query().Get("deadline_s"); ds != "" {
 			sec, perr := strconv.ParseFloat(ds, 64)
 			d, ok := clientDuration(sec)
@@ -165,17 +165,17 @@ func (s *Server) handleFleetDevice(r *http.Request) reply {
 // the node guarantees one campaign per device at a time; the constants
 // swap atomically on success, so serving never pauses.
 func (s *Server) observeSweep(n *fleet.Node, cands []core.Candidate) {
-	if s.drift == nil {
+	if s.opts.Drift == nil {
 		return
 	}
-	if !n.ObserveSweep(*s.drift, cands) || !n.BeginRecalibration() {
+	if !n.ObserveSweep(*s.opts.Drift, cands) || !n.BeginRecalibration() {
 		return
 	}
 	run := func() {
-		cal, err := s.recal(context.Background(), n)
+		cal, err := s.opts.Recalibrate(context.Background(), n)
 		n.FinishRecalibration(cal, err)
 	}
-	if s.syncRecal {
+	if s.opts.SyncRecalibrate {
 		run()
 		return
 	}

@@ -44,14 +44,9 @@ func (s *Server) handleFleetPredict(r *http.Request) reply {
 	var node *fleet.Node
 	switch {
 	case req.Device != "":
-		n, ok := s.reg.Get(req.Device)
+		n, _, rep, ok := s.calibrated(req.Device)
 		if !ok {
-			return fail(http.StatusNotFound, fmt.Sprintf("unknown device %q", req.Device), req.Device)
-		}
-		if n.Cal() == nil {
-			// Still calibrating after a runtime add: nothing to predict
-			// with yet.
-			return fail(http.StatusServiceUnavailable, fmt.Sprintf("device %q is still calibrating", req.Device), req.Device)
+			return rep
 		}
 		node = n
 	case route == "least_loaded":
@@ -65,13 +60,9 @@ func (s *Server) handleFleetPredict(r *http.Request) reply {
 // DevicePlacement is one device's sweep outcome inside a /v1/fleet/place
 // answer: the three §II-E picks over that device's own grid slice.
 type DevicePlacement struct {
-	DeviceID             string        `json:"device_id"`
-	Candidates           int           `json:"candidates"`
-	Model                PickJSON      `json:"model"`
-	TimeOracle           PickJSON      `json:"time_oracle"`
-	MeasuredMin          PickJSON      `json:"measured_min"`
-	ModelExtraEnergyPct  units.Percent `json:"model_extra_energy_pct"`
-	OracleExtraEnergyPct units.Percent `json:"oracle_extra_energy_pct"`
+	DeviceID   string `json:"device_id"`
+	Candidates int    `json:"candidates"`
+	Picks
 }
 
 // PlaceSkip records a device that could not contribute to a placement
@@ -125,17 +116,18 @@ func (s *Server) handleFleetPlace(r *http.Request) reply {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	// targetNodes are the admitted devices, in the same order as targets.
-	sweeps := make(map[string][]core.Candidate, len(nodes))
+	// sweeps holds each node's candidates, indexed like nodes; nil marks
+	// a skipped device. swept maps each target back to its node.
+	sweeps := make([][]core.Candidate, len(nodes))
 	var skips []PlaceSkip
 	var targets []experiments.SweepTarget
-	var targetNodes []*fleet.Node
-	for _, n := range nodes {
+	var swept []int
+	for i, n := range nodes {
 		cands, out := n.Admit(autotuneKey(gridName, wl, n.Cfg.Seed))
 		s.charge(n, out, cands)
 		switch out {
 		case fleet.SweepCached:
-			sweeps[n.ID] = cands
+			sweeps[i] = cands
 		case fleet.SweepSkipped:
 			skips = append(skips, PlaceSkip{DeviceID: n.ID, Reason: "sweep breaker open and no cached sweep"})
 		case fleet.SweepAdmitted:
@@ -144,7 +136,7 @@ func (s *Server) handleFleetPlace(r *http.Request) reply {
 			release := n.Acquire()
 			defer release()
 			targets = append(targets, experiments.SweepTarget{Dev: n.Dev, Cfg: n.Cfg, Grid: n.Grids[gridName]})
-			targetNodes = append(targetNodes, n)
+			swept = append(swept, i)
 		}
 	}
 	if len(targets) > 0 {
@@ -152,15 +144,16 @@ func (s *Server) handleFleetPlace(r *http.Request) reply {
 		if err != nil {
 			// The fan-out as a whole was cancelled or timed out: no
 			// device has an outcome of its own.
-			for _, n := range targetNodes {
-				n.Abandon()
-				s.charge(n, fleet.SweepFailed, nil)
+			for _, i := range swept {
+				nodes[i].Abandon()
+				s.charge(nodes[i], fleet.SweepFailed, nil)
 			}
 			code, msg := sweepStatus(err)
 			return fail(code, msg, "")
 		}
-		for i, res := range results {
-			n := targetNodes[i]
+		for t, res := range results {
+			i := swept[t]
+			n := nodes[i]
 			n.Settle(autotuneKey(gridName, wl, n.Cfg.Seed), res.Candidates, res.Err)
 			if res.Err != nil {
 				s.charge(n, fleet.SweepFailed, nil)
@@ -168,32 +161,22 @@ func (s *Server) handleFleetPlace(r *http.Request) reply {
 				continue
 			}
 			s.charge(n, fleet.SweepFresh, res.Candidates)
-			sweeps[n.ID] = res.Candidates
+			sweeps[i] = res.Candidates
 		}
 	}
 	// Score per device and take the fleet argmin. Iterating nodes in
 	// sorted-ID order makes the strict < tie-break deterministic.
-	resp := PlaceResponse{Grid: gridName, Skipped: skips}
+	resp := PlaceResponse{Grid: gridName, Devices: make([]DevicePlacement, 0, len(nodes)), Skipped: skips}
 	winner := -1
-	for _, n := range nodes {
-		cands, ok := sweeps[n.ID]
-		if !ok {
+	for i, n := range nodes {
+		if sweeps[i] == nil {
 			continue
 		}
-		sc := scoreSweep(n.Cal().Model, gridName, cands)
-		resp.Devices = append(resp.Devices, DevicePlacement{
-			DeviceID:             n.ID,
-			Candidates:           sc.Candidates,
-			Model:                sc.Model,
-			TimeOracle:           sc.TimeOracle,
-			MeasuredMin:          sc.MeasuredMin,
-			ModelExtraEnergyPct:  sc.ModelExtraEnergyPct,
-			OracleExtraEnergyPct: sc.OracleExtraEnergyPct,
-		})
-		d := len(resp.Devices) - 1
-		if winner < 0 || resp.Devices[d].MeasuredMin.MeasuredJ < resp.Devices[winner].MeasuredMin.MeasuredJ {
-			winner = d
+		row := DevicePlacement{DeviceID: n.ID, Candidates: len(sweeps[i]), Picks: scoreSweep(n.Cal().Model, sweeps[i])}
+		if winner < 0 || row.MeasuredMin.MeasuredJ < resp.Devices[winner].MeasuredMin.MeasuredJ {
+			winner = len(resp.Devices)
 		}
+		resp.Devices = append(resp.Devices, row)
 	}
 	if winner < 0 {
 		return fail(http.StatusServiceUnavailable, "no device could sweep this workload", "")

@@ -243,20 +243,29 @@ type PickJSON struct {
 	MeasuredJ  units.Joule  `json:"measured_j"`
 }
 
-// AutotuneResponse is the answer to a /v1/autotune request. Extra-energy
-// percentages are relative to the measured-minimum candidate, matching
-// the paper's Table II "energy lost" definition. Degraded marks an
-// answer served stale from the cache while the sweep breaker was open.
-type AutotuneResponse struct {
-	Grid                 string        `json:"grid"`
-	Candidates           int           `json:"candidates"`
-	Cached               bool          `json:"cached"`
-	Degraded             bool          `json:"degraded"`
+// Picks is the §II-E comparison over one finished sweep: the model's
+// pick, the race-to-halt time oracle and the measured minimum, with the
+// extra energy the first two spend relative to the measured minimum
+// (the paper's Table II "energy lost"). /v1/autotune and every
+// /v1/fleet/place device row embed it, so both bodies carry its fields
+// inline.
+type Picks struct {
 	Model                PickJSON      `json:"model"`
 	TimeOracle           PickJSON      `json:"time_oracle"`
 	MeasuredMin          PickJSON      `json:"measured_min"`
 	ModelExtraEnergyPct  units.Percent `json:"model_extra_energy_pct"`
 	OracleExtraEnergyPct units.Percent `json:"oracle_extra_energy_pct"`
+}
+
+// AutotuneResponse is the answer to a /v1/autotune request. Degraded
+// marks an answer served stale from the cache while the sweep breaker
+// was open.
+type AutotuneResponse struct {
+	Grid       string `json:"grid"`
+	Candidates int    `json:"candidates"`
+	Cached     bool   `json:"cached"`
+	Degraded   bool   `json:"degraded"`
+	Picks
 }
 
 func (s *Server) handleAutotune(r *http.Request) reply {
@@ -298,9 +307,13 @@ func (s *Server) handleAutotune(r *http.Request) reply {
 		code, msg := sweepStatus(err)
 		return fail(code, msg, node.ID)
 	}
-	resp := scoreSweep(node.Cal().Model, gridName, cands)
-	resp.Cached = out == fleet.SweepCached || out == fleet.SweepDegraded
-	resp.Degraded = out == fleet.SweepDegraded
+	resp := &AutotuneResponse{
+		Grid:       gridName,
+		Candidates: len(cands),
+		Cached:     out == fleet.SweepCached || out == fleet.SweepDegraded,
+		Degraded:   out == fleet.SweepDegraded,
+		Picks:      scoreSweep(node.Cal().Model, cands),
+	}
 	s.metrics.addAnsweredJoules(node.ID, float64(resp.Model.MeasuredJ))
 	return reply{http.StatusOK, resp, node.ID}
 }
@@ -315,7 +328,7 @@ func (s *Server) sweepRequest(req AutotuneRequest) (gridName string, wl tegra.Wo
 		gridName = "calibration"
 	}
 	wl = tegra.Workload{Profile: req.Profile.profile(), Occupancy: occupancyOrDefault(req.Occupancy)}
-	timeout = s.timeout
+	timeout = s.opts.SweepTimeout
 	if d, ok := clientDuration(float64(req.TimeoutS)); ok && d < timeout {
 		timeout = d
 	}
@@ -374,7 +387,7 @@ func (s *Server) charge(n *fleet.Node, out fleet.SweepOutcome, cands []core.Cand
 // scoreSweep runs the three pickers of §II-E over one finished sweep.
 // Scoring is pure arithmetic over the cached candidates, so re-running
 // it at serve time keeps the cache value model-independent.
-func scoreSweep(m *core.Model, gridName string, cands []core.Candidate) *AutotuneResponse {
+func scoreSweep(m *core.Model, cands []core.Candidate) Picks {
 	pick := func(i int) PickJSON {
 		c := cands[i]
 		return PickJSON{
@@ -393,9 +406,7 @@ func scoreSweep(m *core.Model, gridName string, cands []core.Candidate) *Autotun
 		}
 		return units.Percent(100 * (p.MeasuredJ - best.MeasuredJ) / best.MeasuredJ)
 	}
-	return &AutotuneResponse{
-		Grid:                 gridName,
-		Candidates:           len(cands),
+	return Picks{
 		Model:                model,
 		TimeOracle:           oracle,
 		MeasuredMin:          best,
@@ -489,38 +500,40 @@ type CVSummaryJSON struct {
 	Max    units.Percent `json:"max_pct"`
 }
 
-// deviceParam picks the node a GET request addresses: the ?device=
-// query parameter when present, the fleet's first device (sorted by ID;
-// the single node in legacy mode) otherwise.
-func (s *Server) deviceParam(r *http.Request) (*fleet.Node, error) {
-	id := r.URL.Query().Get("device")
-	if id == "" {
-		nodes := s.reg.Nodes()
-		if len(nodes) == 0 {
-			return nil, fmt.Errorf("no devices in the fleet")
-		}
-		return nodes[0], nil
-	}
-	n, ok := s.reg.Get(id)
+// calibrated looks up the member a request names and loads its
+// calibration once, so a drift recalibration swapping the pointer
+// mid-render cannot mix two generations' constants in one body. A
+// member that is unknown (404) or still calibrating after a runtime add
+// (503) is refused, with the reply naming the device.
+func (s *Server) calibrated(id string) (n *fleet.Node, cal *experiments.Calibration, rep reply, ok bool) {
+	n, ok = s.reg.Get(id)
 	if !ok {
-		return nil, fmt.Errorf("unknown device %q", id)
+		return nil, nil, fail(http.StatusNotFound, fmt.Sprintf("unknown device %q", id), id), false
 	}
-	return n, nil
+	if cal = n.Cal(); cal == nil {
+		return nil, nil, fail(http.StatusServiceUnavailable, fmt.Sprintf("device %q is still calibrating", id), id), false
+	}
+	return n, cal, reply{}, true
 }
 
+// handleCalibration renders the calibration of the ?device= member, or
+// of the fleet's first device (sorted by ID; the single node in legacy
+// mode) when the parameter is absent.
 func (s *Server) handleCalibration(r *http.Request) reply {
 	if r.Method != http.MethodGet {
 		return fail(http.StatusMethodNotAllowed, "GET only", "")
 	}
-	node, err := s.deviceParam(r)
-	if err != nil {
-		return fail(http.StatusNotFound, err.Error(), r.URL.Query().Get("device"))
+	id := r.URL.Query().Get("device")
+	if id == "" {
+		nodes := s.reg.Nodes()
+		if len(nodes) == 0 {
+			return fail(http.StatusNotFound, "no devices in the fleet", "")
+		}
+		id = nodes[0].ID
 	}
-	// One load of the calibration pointer: a drift recalibration swapping
-	// it mid-render must not mix two generations' constants in one body.
-	cal := node.Cal()
-	if cal == nil {
-		return fail(http.StatusServiceUnavailable, fmt.Sprintf("device %q is still calibrating", node.ID), node.ID)
+	node, cal, rep, ok := s.calibrated(id)
+	if !ok {
+		return rep
 	}
 	m := cal.Model
 	resp := CalibrationResponse{

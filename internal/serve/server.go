@@ -133,16 +133,9 @@ type Server struct {
 	// to the pre-fleet daemon.
 	legacy  bool
 	metrics *metrics
-	timeout time.Duration
-	clock   func() time.Time // Options.Clock; drives latency metrics and the breakers
-
-	// Membership admin (nil = API disabled) and drift watchdog
-	// (nil = disabled); see the matching Options fields.
-	admin         *fleet.Admin
-	drainDeadline time.Duration
-	drift         *fleet.DriftConfig
-	recal         fleet.Recalibrator
-	syncRecal     bool
+	// opts are the Options with defaults applied; a legacy server's
+	// Admin is cleared, since one device has no membership to administer.
+	opts Options
 }
 
 // New builds a single-device server around a fitted calibration: the
@@ -169,18 +162,11 @@ func New(dev *tegra.Device, cal *experiments.Calibration, cfg experiments.Config
 func NewFleet(reg *fleet.Registry, opts Options) *Server {
 	opts = opts.withDefaults()
 	nodes := reg.Nodes()
-	return &Server{
-		reg:           reg,
-		legacy:        len(nodes) == 1 && nodes[0].ID == "",
-		metrics:       newMetrics(),
-		timeout:       opts.SweepTimeout,
-		clock:         opts.Clock,
-		admin:         opts.Admin,
-		drainDeadline: opts.DrainDeadline,
-		drift:         opts.Drift,
-		recal:         opts.Recalibrate,
-		syncRecal:     opts.SyncRecalibrate,
+	legacy := len(nodes) == 1 && nodes[0].ID == ""
+	if legacy {
+		opts.Admin = nil
 	}
+	return &Server{reg: reg, legacy: legacy, metrics: newMetrics(), opts: opts}
 }
 
 // Registry exposes the fleet behind the server.
@@ -247,9 +233,9 @@ func (s *Server) instrument(endpoint string, h func(*http.Request) reply) http.H
 		s.metrics.addInflight(1)
 		defer s.metrics.addInflight(-1)
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		start := s.clock()
+		start := s.opts.Clock()
 		code := writeJSON(w, h(r))
-		s.metrics.observe(endpoint, code, s.clock().Sub(start).Seconds())
+		s.metrics.observe(endpoint, code, s.opts.Clock().Sub(start).Seconds())
 	})
 }
 

@@ -44,7 +44,7 @@ func profilePool(spec Spec) ([]poolEntry, error) {
 			return nil, fmt.Errorf("workload: profiling n=%d: %w", n, err)
 		}
 		for _, ph := range fmm.Phases() {
-			p := res.Workload(ph)
+			p := res.Profiles[ph]
 			if p == (counters.Profile{}) {
 				continue // degenerate tree: phase never ran at this size
 			}

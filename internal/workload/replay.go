@@ -79,6 +79,11 @@ func (t HandlerTarget) roundTrip(ctx context.Context, method, path string, body 
 	if err != nil {
 		return 0, "", nil, err
 	}
+	if req.Body == nil {
+		// net/http's server hands a bodiless request to its handler
+		// with http.NoBody, never nil.
+		req.Body = http.NoBody
+	}
 	rec := &memRecorder{h: make(http.Header)}
 	t.Handler.ServeHTTP(rec, req)
 	return rec.status(), rec.h.Get("X-Energyd-Device"), rec.body.Bytes(), nil
