@@ -2,10 +2,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -626,27 +624,6 @@ func occupancyOrDefault(occ units.Ratio) units.Ratio {
 		return 0.25
 	}
 	return occ
-}
-
-// decodeJSON parses a POST body as exactly one JSON value, rejecting
-// unknown fields so typos in profile keys surface as 400s instead of
-// silently predicting zero, and rejecting anything but whitespace after
-// the value so a second body is never dropped unread. On failure ok is
-// false and rep is the error reply.
-func decodeJSON(r *http.Request, dst any) (rep reply, ok bool) {
-	if r.Method != http.MethodPost {
-		return fail(http.StatusMethodNotAllowed, "POST only", ""), false
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		//energylint:allow hotalloc(malformed-body exit, not the per-request success path)
-		return fail(http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err), ""), false
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return fail(http.StatusBadRequest, "bad request body: trailing data after the JSON value", ""), false
-	}
-	return reply{}, true
 }
 
 // ErrorJSON is the wire form of every energyd error. DeviceID names the
