@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"dvfsroofline/internal/experiments"
@@ -32,9 +33,14 @@ type Admin struct {
 // returned. This is the admin add-device request body.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
+	var keys paramsKeys
 	if err := decodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("fleet: parsing device spec: %w", err)
 	}
+	if err := json.Unmarshal(data, &keys); err != nil {
+		return Spec{}, fmt.Errorf("fleet: parsing device spec: %w", err)
+	}
+	s.declared = keys.declared()
 	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}

@@ -88,8 +88,9 @@ func TestSpecParamsMergeFromTK1(t *testing.T) {
 
 // TestSpecParamsKeys pins the wire names of a spec's params object: each
 // key read through ParseSpec sets exactly its own field of DeviceParams,
-// an absent key or -0 inherits the TK1 value, and "ideal" zeroes exactly
-// the five non-ideality knobs unless one is declared.
+// even to 0 or -0, where zero is a valid value, and is rejected where it
+// is not; an absent or null key inherits the TK1 value; and "ideal"
+// zeroes exactly the five non-ideality knobs unless one is declared.
 func TestSpecParamsKeys(t *testing.T) {
 	type setter = func(p *tegra.DeviceParams, v float64)
 	keys := []struct {
@@ -141,9 +142,23 @@ func TestSpecParamsKeys(t *testing.T) {
 		if got := params(body); got != want {
 			t.Errorf("%s: got %+v, want %+v", body, got, want)
 		}
-		body = fmt.Sprintf(`{"id":"x","params":{%q:-0}}`, k.key)
+		zero := tk1
+		k.set(&zero, 0)
+		for _, z := range []string{"0", "-0", "0.0"} {
+			body = fmt.Sprintf(`{"id":"x","params":{%q:%s}}`, k.key, z)
+			if zero.Validate() != nil {
+				if _, err := ParseSpec([]byte(body)); err == nil {
+					t.Errorf("%s: a declared zero where it is invalid was accepted", body)
+				}
+				continue
+			}
+			if got := params(body); got != zero {
+				t.Errorf("%s: a declared zero must override TK1: got %+v, want %+v", body, got, zero)
+			}
+		}
+		body = fmt.Sprintf(`{"id":"x","params":{%q:null}}`, k.key)
 		if got := params(body); got != tk1 {
-			t.Errorf("%s: -0 must inherit TK1, got %+v", body, got)
+			t.Errorf("%s: null must inherit TK1, got %+v", body, got)
 		}
 		if k.knob {
 			want := ideal
@@ -153,6 +168,32 @@ func TestSpecParamsKeys(t *testing.T) {
 				t.Errorf("%s: got %+v, want %+v", body, got, want)
 			}
 		}
+	}
+}
+
+// TestSpecDeclaredZero holds the config decoder to the same rule as
+// ParseSpec: a params key declared with zero overrides, per device and
+// case-insensitively as encoding/json matches keys, while a Spec built
+// in Go still reads a zero field as "inherit".
+func TestSpecDeclaredZero(t *testing.T) {
+	fc, err := ParseConfig([]byte(`{"devices":[
+		{"id":"a","params":{"stall_watts":0}},
+		{"id":"b"},
+		{"id":"c","params":{"Thermal_Slope":0,"misc_w":0.2}}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk1 := tegra.TK1Params()
+	a, b, c := tk1, tk1, tk1
+	a.StallWatts = 0
+	c.ThermalSlope, c.MiscW = 0, 0.2
+	for i, want := range []tegra.DeviceParams{a, b, c} {
+		if got := fc.Devices[i].DeviceParams(); got != want {
+			t.Errorf("device %s: got %+v, want %+v", fc.Devices[i].ID, got, want)
+		}
+	}
+	if got := (Spec{ID: "go", Params: ParamsJSON{StallWatts: 0, MiscW: 0.2}}).DeviceParams(); got.StallWatts != tk1.StallWatts || got.MiscW != 0.2 {
+		t.Errorf("Go-built spec: got %+v, want TK1 with MiscW 0.2", got)
 	}
 }
 

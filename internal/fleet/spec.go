@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/tegra"
@@ -48,8 +49,10 @@ type Spec struct {
 	// noiseless calibration derived from its declared parameters — the
 	// fixture path, instant and deterministic.
 	CalibrationCache string `json:"calibration_cache,omitempty"`
-	// Params overrides the Tegra K1 ground truth field by field: zero
-	// fields inherit the TK1 value, so a spec states only what differs.
+	// Params overrides the Tegra K1 ground truth field by field, so a
+	// spec states only what differs. A key the JSON params object
+	// declares overrides even with a zero value; an absent key, or on a
+	// spec built in Go a zero field, inherits the TK1 value.
 	Params tegra.DeviceParams `json:"params,omitempty"`
 	// Ideal starts from tegra.DeviceParams.Ideal of the TK1 baseline:
 	// the non-ideality knobs are zero unless Params declares them,
@@ -63,15 +66,21 @@ type Spec struct {
 	MaxCoreMHz units.MegaHertz `json:"max_core_mhz,omitempty"`
 	MinMemMHz  units.MegaHertz `json:"min_mem_mhz,omitempty"`
 	MaxMemMHz  units.MegaHertz `json:"max_mem_mhz,omitempty"`
+
+	// declared has bit i set when the decoded params object declares
+	// field i of Params with a number, zero included.
+	declared uint32
 }
 
 // ParamsJSON is a spec's params object on the wire: the simulator's own
-// parameter type, whose zero fields inherit the TK1 value.
+// parameter type. In Go its zero fields inherit the TK1 value; in JSON
+// its absent keys do.
 type ParamsJSON = tegra.DeviceParams
 
-// DeviceParams resolves the spec's physical parameters: every non-zero
-// declared field overrides the Tegra K1 baseline, and Ideal zeroes the
-// non-ideality knobs that were not explicitly set.
+// DeviceParams resolves the spec's physical parameters: every declared
+// key of the JSON params object, and every non-zero field, overrides
+// the Tegra K1 baseline, and Ideal zeroes the non-ideality knobs that
+// were not explicitly set.
 func (s Spec) DeviceParams() tegra.DeviceParams {
 	p := tegra.TK1Params()
 	if s.Ideal {
@@ -80,12 +89,36 @@ func (s Spec) DeviceParams() tegra.DeviceParams {
 	dst := reflect.ValueOf(&p).Elem()
 	src := reflect.ValueOf(&s.Params).Elem()
 	for i := range src.NumField() {
-		// A declared -0 compares equal to 0, so it inherits too.
-		if f := src.Field(i); f.Float() != 0 {
+		if f := src.Field(i); f.Float() != 0 || s.declared&(1<<i) != 0 {
 			dst.Field(i).Set(f)
 		}
 	}
 	return p
+}
+
+// paramsKeys is a second, lenient pass over one spec object that reads
+// which params keys it declares with a number; null declares nothing.
+type paramsKeys struct {
+	Params map[string]*float64 `json:"params"`
+}
+
+// declared returns the Spec.declared bits for the keys of k, matched to
+// Params' JSON names case-insensitively, as encoding/json matches them.
+func (k paramsKeys) declared() uint32 {
+	var bits uint32
+	typ := reflect.TypeFor[tegra.DeviceParams]()
+	for key, v := range k.Params {
+		if v == nil {
+			continue
+		}
+		for i := range typ.NumField() {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			if strings.EqualFold(key, name) {
+				bits |= 1 << i
+			}
+		}
+	}
+	return bits
 }
 
 // supports reports whether a setting falls inside the spec's DVFS
@@ -179,8 +212,17 @@ func (fc FleetConfig) Validate() error {
 // baseline TK1.
 func ParseConfig(data []byte) (FleetConfig, error) {
 	var fc FleetConfig
+	var keys struct {
+		Devices []paramsKeys `json:"devices"`
+	}
 	if err := decodeStrict(data, &fc); err != nil {
 		return FleetConfig{}, fmt.Errorf("fleet: parsing config: %w", err)
+	}
+	if err := json.Unmarshal(data, &keys); err != nil {
+		return FleetConfig{}, fmt.Errorf("fleet: parsing config: %w", err)
+	}
+	for i := range min(len(fc.Devices), len(keys.Devices)) {
+		fc.Devices[i].declared = keys.Devices[i].declared()
 	}
 	if err := fc.Validate(); err != nil {
 		return FleetConfig{}, err

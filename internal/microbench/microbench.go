@@ -279,13 +279,13 @@ func Measure(exec tegra.Execution, cfg powermon.Config, plan faults.Plan, key in
 	if cfg == (powermon.Config{}) {
 		cfg = powermon.DefaultConfig()
 	}
-	trace := exec.PowerAt
+	trace := exec.Trace(nil)
 	if inj := plan.ForSample(key, attempt); inj != nil {
 		if err := inj.DVFSTransition(); err != nil {
 			return 0, err
 		}
 		cfg.Faults = inj
-		trace = exec.ThrottledTrace(inj.ThrottleWindows(exec.Time))
+		trace = exec.Trace(inj.ThrottleWindows(exec.Time))
 	}
 	seed := key
 	if attempt > 0 {
@@ -299,16 +299,9 @@ func Measure(exec tegra.Execution, cfg powermon.Config, plan faults.Plan, key in
 	reps := 1.0
 	if min := meter.MinDuration(16); b == nil && exec.Time < min {
 		reps = math.Ceil(float64(min / exec.Time))
-		// Throttle windows land inside one execution period and repeat
-		// with it, so their relative energy effect is the same whether
-		// the run needed repetition or not.
-		period := float64(exec.Time)
-		inner := trace
-		trace = func(t units.Second) units.Watt {
-			return inner(units.Second(math.Mod(float64(t), period)))
-		}
+		trace = trace.Repeat()
 	}
-	energy, err := meter.Energy(trace, units.Second(reps*float64(exec.Time)))
+	energy, err := meter.Energy(trace.At, units.Second(reps*float64(exec.Time)))
 	if err != nil {
 		return 0, err
 	}

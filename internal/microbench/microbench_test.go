@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"dvfsroofline/internal/counters"
 	"dvfsroofline/internal/dvfs"
 	"dvfsroofline/internal/faults"
 	"dvfsroofline/internal/powermon"
 	"dvfsroofline/internal/tegra"
+	"dvfsroofline/internal/units"
 )
 
 func TestSuiteSizeMatchesPaper(t *testing.T) {
@@ -259,3 +261,28 @@ func TestMeasureTooShortBenchmarkErrors(t *testing.T) {
 		t.Errorf("error %q does not start with %q", err, want)
 	}
 }
+
+// BenchmarkMeasureRepeated is one serve-cold sweep candidate through
+// Measure: a run of about 3 ms, shorter than the meter's 16-sample
+// window, so Measure repeats it back to back and samples 17 points of
+// the repeated trace on a pooled meter. The bench gate holds it at zero
+// allocs/op.
+func BenchmarkMeasureRepeated(b *testing.B) {
+	w := tegra.Workload{Profile: counters.Profile{DPFMA: 2e7, Int: 1e7, DRAMWords: 5e6}, Occupancy: 0.9}
+	exec := tegra.NewDevice().Execute(w, dvfs.MustSetting(852, 924))
+	if min := powermon.MustMeter(powermon.DefaultConfig(), 1).MinDuration(16); exec.Time >= min {
+		b.Fatalf("run of %v s is not shorter than the %v s window", exec.Time, min)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		energy, err := Measure(exec, powermon.Config{}, faults.Plan{}, int64(i), 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		energySink += energy
+	}
+}
+
+// energySink keeps the benchmark's measurements observable to the
+// compiler.
+var energySink units.Joule

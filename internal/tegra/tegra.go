@@ -182,47 +182,9 @@ func (d *Device) Execute(w Workload, s dvfs.Setting) Execution {
 // Outside [0, Time] the device idles at constant power. A small 50 Hz
 // supply ripple keeps the trace from being trivially flat, as on the
 // real board's unregulated rail.
-func (e *Execution) PowerAt(t units.Second) units.Watt { return e.power(t, 1) }
-
-// power is the run's trace at t with its dynamic power scaled by dyn:
-// the one power formula behind PowerAt and ThrottledTrace.
-func (e *Execution) power(t units.Second, dyn float64) units.Watt {
-	base := e.constPower
-	if t >= 0 && t < e.Time {
-		base += e.dynPower * dyn
-	}
-	return units.Watt(base * (1 + e.ripple*math.Sin(2*math.Pi*e.rippleFreq*float64(t))))
-}
-
-// ThrottleWindow is an interval of a run during which thermal
-// throttling depresses the device's dynamic power. The fault-injection
-// layer (internal/faults) schedules windows; the simulator only applies
-// them to the trace, since throttling is a property of the silicon, not
-// of the meter.
-type ThrottleWindow struct {
-	Start    units.Second // offset into the run
-	Duration units.Second
-	Factor   units.Ratio // dynamic power multiplier inside the window, in [0, 1]
-}
-
-// ThrottledTrace returns the run's power trace with the given throttle
-// windows applied: inside a window the dynamic power is scaled by the
-// window's factor, while constant power (leakage does not gate) and the
-// supply ripple are unchanged. With no windows it returns PowerAt
-// itself.
-func (e *Execution) ThrottledTrace(windows []ThrottleWindow) func(t units.Second) units.Watt {
-	if len(windows) == 0 {
-		return e.PowerAt
-	}
-	ws := append([]ThrottleWindow(nil), windows...)
-	return func(t units.Second) units.Watt {
-		for _, w := range ws {
-			if t >= w.Start && t < w.Start+w.Duration {
-				return e.power(t, float64(w.Factor))
-			}
-		}
-		return e.power(t, 1)
-	}
+func (e *Execution) PowerAt(t units.Second) units.Watt {
+	tr := e.Trace(nil)
+	return tr.At(t)
 }
 
 // TrueEnergy returns the exact energy of the run (the integral of the

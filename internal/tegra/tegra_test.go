@@ -245,29 +245,29 @@ func TestThrottledTrace(t *testing.T) {
 	e := dev.Execute(w, dvfs.MustSetting(852, 924))
 
 	// No windows: identical to the honest trace everywhere.
-	same := e.ThrottledTrace(nil)
+	same := e.Trace(nil)
 	for _, ts := range []units.Second{0, e.Time / 3, e.Time / 2, e.Time} {
-		if same(ts) != e.PowerAt(ts) {
+		if same.At(ts) != e.PowerAt(ts) {
 			t.Fatalf("empty-window trace differs from PowerAt at t=%g", ts)
 		}
 	}
 
 	win := ThrottleWindow{Start: e.Time / 4, Duration: e.Time / 4, Factor: 0.3}
-	tr := e.ThrottledTrace([]ThrottleWindow{win})
+	tr := e.Trace([]ThrottleWindow{win})
 	inside := win.Start + win.Duration/2
 	outside := win.Start + win.Duration + e.Time/8
-	if tr(outside) != e.PowerAt(outside) {
+	if tr.At(outside) != e.PowerAt(outside) {
 		t.Error("trace altered outside the throttle window")
 	}
-	if got := tr(inside); got >= e.PowerAt(inside) {
+	if got := tr.At(inside); got >= e.PowerAt(inside) {
 		t.Errorf("power inside window %g not depressed (honest %g)", got, e.PowerAt(inside))
 	}
 	// Only dynamic power scales: ripple aside, the throttled level is
 	// const + 0.3*dyn.
 	ripple := 1 + 0.01*rippleAt(e, inside)
 	want := float64(e.ConstPower()+0.3*(e.TruePower()-e.ConstPower())) * ripple
-	if got := tr(inside); !closeTo(float64(got), want, 1e-9) {
-		t.Errorf("throttled power %g, want %g", float64(tr(inside)), want)
+	if got := tr.At(inside); !closeTo(float64(got), want, 1e-9) {
+		t.Errorf("throttled power %g, want %g", float64(tr.At(inside)), want)
 	}
 }
 

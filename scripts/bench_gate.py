@@ -5,7 +5,10 @@ Parses one or more `go test -bench` text outputs, compares every
 benchmark that also appears in a checked-in baseline JSON (BENCH_PR*.json)
 on ns/op, and fails if any regresses by more than the threshold.
 Benchmarks present on only one side are reported and skipped — the gate
-compares the intersection, so adding new benchmarks never breaks it.
+compares the intersection, so adding new benchmarks never breaks it —
+with one exception: a benchmark in this run that matches --hotpath but
+has no baseline entry fails the gate, so a hot path whose baseline
+entry is missing cannot pass unchecked.
 
 Baseline entries marked "hotpath": true get a second, stricter check:
 any increase in allocs/op fails the gate outright, with no threshold.
@@ -91,7 +94,8 @@ def main():
     ap.add_argument("--emit", help="write parsed results as a new BENCH_PR*.json")
     ap.add_argument("--hotpath", default="",
                     help="regex over benchmark names; matches are stamped "
-                         '"hotpath": true at --emit and gate on allocs/op')
+                         '"hotpath": true at --emit, gate on allocs/op, '
+                         "and must have a baseline entry")
     ap.add_argument("--pr", type=int, help="PR number for --emit")
     ap.add_argument("--note", default="", help="note field for --emit")
     ap.add_argument("--benchtime", default="1s", help="benchtime field for --emit")
@@ -137,8 +141,14 @@ def main():
             else:
                 print(f"          ok  {name}: {oa} -> {na} allocs/op, "
                       f"{ob} -> {nb} B/op (hotpath)")
+    hot = re.compile(args.hotpath) if args.hotpath else None
     for name in sorted(set(results) - set(baseline)):
-        print(f"   NEW  {name}: {results[name]['ns_per_op']:g} ns/op (no baseline)")
+        if hot and hot.search(name):
+            regressions += 1
+            failed = True
+            print(f"  MISSING  {name}: matches --hotpath but has no baseline entry")
+        else:
+            print(f"   NEW  {name}: {results[name]['ns_per_op']:g} ns/op (no baseline)")
     if compared == 0:
         print("bench_gate: no benchmark overlaps the baseline", file=sys.stderr)
         return 2
@@ -147,8 +157,7 @@ def main():
         if args.pr is None:
             print("bench_gate: --emit requires --pr", file=sys.stderr)
             return 2
-        if args.hotpath:
-            hot = re.compile(args.hotpath)
+        if hot:
             for r in results.values():
                 if hot.search(r["name"]):
                     r["hotpath"] = True
@@ -182,8 +191,9 @@ def main():
         print(json.dumps(summary, separators=(",", ":")))
 
     if failed:
-        print(f"bench_gate: ns/op regression beyond {args.threshold:.0%} "
-              f"or allocs/op increase on a hotpath benchmark",
+        print(f"bench_gate: ns/op regression beyond {args.threshold:.0%}, "
+              f"allocs/op increase on a hotpath benchmark, "
+              f"or a hotpath benchmark without a baseline entry",
               file=sys.stderr)
         return 1
     print(f"bench_gate: {compared} benchmarks within {args.threshold:.0%} of baseline")
