@@ -39,12 +39,17 @@ func referenceMeasure(cfg powermon.Config, seed int64, trace func(units.Second) 
 	gain := rng.Normal(1, float64(cfg.GainSigma))
 	var energy, prev float64
 	for i := range samples {
-		t := math.Min(float64(i)*dt, dur)
+		t := float64(i) * dt
+		if t > dur {
+			t = dur
+		}
 		v := float64(trace(units.Second(t)))*gain + rng.Normal(0, float64(cfg.NoiseSigma))
 		if q := float64(cfg.QuantumW); q > 0 {
 			v = math.Round(v/q) * q
 		}
-		v = math.Max(v, 0)
+		if v < 0 {
+			v = 0
+		}
 		if cfg.Faults != nil {
 			v = float64(cfg.Faults.ObserveSample(i, units.Watt(v), units.Watt(prev)))
 		}
