@@ -250,6 +250,92 @@ func TestCrossValidateReportsCallerSampleIndex(t *testing.T) {
 	}
 }
 
+// TestFitValidateMatchesSeparateCalls checks FitValidate against the
+// calls it batches: Fit of the masked samples, HoldoutValidate and
+// CrossValidateGrouped must give the same model, per-sample errors and
+// summaries, bit for bit, and the same errors when a sample is invalid
+// in the training half, in the validation half only, or when the masks
+// or group labels have the wrong length.
+func TestFitValidateMatchesSeparateCalls(t *testing.T) {
+	base, groups := pinnedSamples(t)
+	mask := make([]bool, len(base))
+	for i := range mask {
+		mask[i] = groups[i] < 8
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	sameCV := func(label string, got, want CVResult) {
+		t.Helper()
+		g, w := got.Summary, want.Summary
+		sameSummary := g.N == w.N
+		for _, f := range [][2]float64{{g.Mean, w.Mean}, {g.Stddev, w.Stddev}, {g.Min, w.Min}, {g.Max, w.Max}} {
+			sameSummary = sameSummary && math.Float64bits(f[0]) == math.Float64bits(f[1])
+		}
+		if len(got.Errors) != len(want.Errors) || !sameSummary {
+			t.Errorf("%s: %d errors, summary %+v; want %d, %+v", label, len(got.Errors), got.Summary, len(want.Errors), want.Summary)
+			return
+		}
+		for i := range got.Errors {
+			if math.Float64bits(float64(got.Errors[i])) != math.Float64bits(float64(want.Errors[i])) {
+				t.Errorf("%s: error %d = %v, want %v", label, i, got.Errors[i], want.Errors[i])
+				return
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		bad    int // sample given zero energy, -1 for none
+		mask   []bool
+		groups []int
+	}{
+		{"valid", -1, mask, groups},
+		{"invalid training sample", 30, mask, groups},
+		{"invalid validation sample", 200, mask, groups},
+		{"short mask", -1, mask[:5], groups},
+		{"short groups", -1, mask, groups[:5]},
+		{"one group", -1, mask, make([]int, len(base))},
+	} {
+		samples := append([]Sample(nil), base...)
+		if tc.bad >= 0 {
+			samples[tc.bad].Energy = 0
+		}
+		v, err := FitValidate(samples, tc.mask, tc.groups)
+
+		var train []Sample
+		for i, s := range samples {
+			if i < len(tc.mask) && tc.mask[i] {
+				train = append(train, s)
+			}
+		}
+		wantModel, wantErr := Fit(train)
+		holdout, holdoutErr := HoldoutValidate(samples, tc.mask)
+		if len(tc.mask) != len(samples) {
+			wantErr = holdoutErr
+		}
+		if errText(err) != errText(wantErr) {
+			t.Errorf("%s: err = %s, want %s", tc.name, errText(err), errText(wantErr))
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if *v.Model != *wantModel {
+			t.Errorf("%s: model %+v, want %+v", tc.name, *v.Model, *wantModel)
+		}
+		sameCV(tc.name+" holdout", v.Holdout, holdout)
+		kfold, kfoldErr := v.KFold()
+		wantKFold, wantKFoldErr := CrossValidateGrouped(samples, tc.groups)
+		if errText(kfoldErr) != errText(wantKFoldErr) {
+			t.Errorf("%s: KFold err = %s, want %s", tc.name, errText(kfoldErr), errText(wantKFoldErr))
+		}
+		sameCV(tc.name+" 16-fold", kfold, wantKFold)
+	}
+}
+
 // BenchmarkCrossValidateGrouped is the calibration ladder's 16-fold CV
 // rung: leave-one-setting-out over the full 116-benchmark suite at the
 // 16 calibration settings (1856 samples, seed 7). Samples are measured

@@ -67,6 +67,16 @@ func (s Sample) Validate() error {
 	return nil
 }
 
+// allValid reports whether every sample passes Validate.
+func allValid(samples []Sample) bool {
+	for _, s := range samples {
+		if s.Validate() != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // finite reports whether every value is a finite number.
 func finite(vs ...float64) bool {
 	for _, v := range vs {
@@ -126,13 +136,14 @@ func Fit(samples []Sample) (*Model, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	return fitIndexed(samples, idx)
+	return fitIndexed(samples, idx, false)
 }
 
 // fitIndexed fits the model to samples[idx[0]], samples[idx[1]], ... in
-// that order, without copying the samples out. Errors name a bad sample
-// by its index in samples.
-func fitIndexed(samples []Sample, idx []int) (*Model, error) {
+// that order, without copying the samples out. Unless validated says
+// every sample already passed Validate, it validates each row, and
+// errors name a bad sample by its index in samples.
+func fitIndexed(samples []Sample, idx []int, validated bool) (*Model, error) {
 	if len(idx) < numCoeffs {
 		return nil, ErrTooFewSamples
 	}
@@ -140,8 +151,10 @@ func fitIndexed(samples []Sample, idx []int) (*Model, error) {
 	b := make([]units.Joule, len(idx))
 	for r, i := range idx {
 		s := samples[i]
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("sample %d: %w", i, err)
+		if !validated {
+			if err := s.Validate(); err != nil {
+				return nil, fmt.Errorf("sample %d: %w", i, err)
+			}
 		}
 		designRow(a.Row(r), s.Profile, s.Setting, float64(s.Time))
 		b[r] = s.Energy

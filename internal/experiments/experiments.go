@@ -24,6 +24,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dvfsroofline/internal/core"
 	"dvfsroofline/internal/counters"
@@ -308,16 +309,39 @@ func fitAndValidate(samples []core.Sample, calSettings []dvfs.CalibrationSetting
 		Coverage:  cov,
 	}
 	perSetting := len(samples) / len(calSettings)
-	var train []core.Sample
-	for i, s := range samples {
+	groups := make([]int, len(samples))
+	for i := range samples {
 		out.TrainMask[i] = calSettings[i/perSetting].Type == "T"
-		if out.TrainMask[i] && valid[i] {
-			train = append(train, s)
+		groups[i] = i / perSetting
+	}
+	// The fit and the validations run over the valid samples only;
+	// quarantined slots hold no measurement. With none quarantined they
+	// run over samples itself, so no copy of it stays live through them.
+	vSamples, vMask, vGroups := samples, out.TrainMask, groups
+	if slices.Contains(valid, false) {
+		vSamples, vMask, vGroups = nil, nil, nil
+		for i, s := range samples {
+			if valid[i] {
+				vSamples = append(vSamples, s)
+				vMask = append(vMask, out.TrainMask[i])
+				vGroups = append(vGroups, groups[i])
+			}
 		}
 	}
-	var err error
-	if out.Model, err = core.Fit(train); err != nil {
+	// One batch fits the training samples and the 16 folds, which leave
+	// one whole setting out each, assessing generalization to unseen
+	// voltage/frequency points (§II-D). The holdout scores that first
+	// fit, made before the outlier screen.
+	v, err := core.FitValidate(vSamples, vMask, vGroups)
+	if err != nil {
 		return nil, fmt.Errorf("experiments: fit: %w", err)
+	}
+	out.Model = v.Model
+	var train []core.Sample
+	for i, s := range vSamples {
+		if vMask[i] {
+			train = append(train, s)
+		}
 	}
 	if kept, screened := screenOutliers(out.Model, train); screened > 0 {
 		if out.Model, err = core.Fit(kept); err != nil {
@@ -325,24 +349,8 @@ func fitAndValidate(samples []core.Sample, calSettings []dvfs.CalibrationSetting
 		}
 		out.Coverage.ScreenedOutliers = screened
 	}
-	// Validations run over the valid samples only; quarantined slots
-	// hold no measurement to validate against.
-	vSamples := make([]core.Sample, 0, len(samples))
-	vMask := make([]bool, 0, len(samples))
-	vGroups := make([]int, 0, len(samples))
-	for i, s := range samples {
-		if valid[i] {
-			vSamples = append(vSamples, s)
-			vMask = append(vMask, out.TrainMask[i])
-			vGroups = append(vGroups, i/perSetting)
-		}
-	}
-	if out.Holdout, err = core.HoldoutValidate(vSamples, vMask); err != nil {
-		return nil, fmt.Errorf("experiments: holdout: %w", err)
-	}
-	// 16-fold CV leaves one whole setting out per fold, assessing
-	// generalization to unseen voltage/frequency points (§II-D).
-	if out.KFold, err = core.CrossValidateGrouped(vSamples, vGroups); err != nil {
+	out.Holdout = v.Holdout
+	if out.KFold, err = v.KFold(); err != nil {
 		return nil, fmt.Errorf("experiments: 16-fold: %w", err)
 	}
 	return out, nil

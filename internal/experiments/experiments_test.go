@@ -472,3 +472,27 @@ func TestFMMCaseNonUniformDistribution(t *testing.T) {
 		t.Errorf("constant fraction %.2f; §IV-C dominance should persist on adaptive trees", f)
 	}
 }
+
+// BenchmarkFitValidate is the calibration ladder's fit rung: the NNLS
+// fit, the outlier screen, the holdout and the 16-fold validation that
+// CalibrateFromSamples runs over the 1856 samples of a seed-7
+// calibration, the way energyd refits from its sample cache. Samples are
+// measured before the timer starts. The folds run on the par.For pool,
+// one allocation per worker, so the gate runs it under -cpu 2.
+func BenchmarkFitValidate(b *testing.B) {
+	cal, err := Calibrate(context.Background(), tegra.NewDevice(), Config{Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if calibrationSink, err = CalibrateFromSamples(cal.Samples); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// calibrationSink keeps BenchmarkFitValidate's result observable to the
+// compiler.
+var calibrationSink *Calibration

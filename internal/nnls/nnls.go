@@ -49,11 +49,11 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 	for i, v := range rhs {
 		b[i] = float64(v)
 	}
-	w := make([]float64, n) // dual vector Aᵀr, reused each iteration
+	w := make([]float64, n) // dual vector Aᵀr, refreshed each outer iteration
+	dual(w, a, b)           // r = b while x = 0
 	if tol <= 0 {
 		// Standard choice: a small multiple of machine epsilon scaled by
 		// the problem size and the magnitude of Aᵀb.
-		dual(w, a, b)
 		tol = 10 * 2.220446049250313e-16 * float64(m*n) * maxAbs(w)
 		if tol == 0 {
 			tol = 1e-12
@@ -72,8 +72,8 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 	// guard; bans are cleared on every real step.
 	banned := make([]bool, n)
 	resid := append([]float64(nil), b...) // b - A*x, x = 0 initially
-	ax := make([]float64, m)              // A*x scratch, reused each iteration
-	sub := make([]float64, m*n)           // passive-column submatrix scratch, reused each iteration
+	z := make([]float64, n)               // passive solution, reused each iteration
+	ps := newPassiveSolver(a)
 
 	maxIter := 3 * n
 	if maxIter < 30 {
@@ -81,9 +81,6 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 	}
 	iters := 0
 	for {
-		// Dual vector w = Aᵀ(b - A*x).
-		dual(w, a, resid)
-
 		// Find the most violated constraint among active (clamped) vars.
 		t := -1
 		wmax := tol
@@ -104,8 +101,7 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 				return nil, ErrMaxIterations
 			}
 			// Solve the unconstrained LS problem on the passive set.
-			z, err := solvePassive(a, b, passive, sub)
-			if err != nil {
+			if err := ps.solve(z, b, passive); err != nil {
 				// Numerically dependent column: drop the variable we just
 				// admitted and continue with the rest. x is unchanged, so
 				// ban it or the dual test re-selects it forever.
@@ -156,16 +152,13 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 			}
 		}
 
-		// Refresh the residual for the next dual test.
-		a.MulVecTo(ax, x)
-		for i := range resid {
-			resid[i] = b[i] - ax[i]
-		}
+		// Refresh the residual and the duals for the next dual test.
+		refresh(resid, w, a, b, x)
 	}
 
-	a.MulVecTo(ax, x)
-	for i := range resid {
-		resid[i] = b[i] - ax[i]
+	a.MulVecTo(resid, x)
+	for i, ax := range resid {
+		resid[i] = b[i] - ax
 	}
 	return &Result{
 		X:          x,
@@ -175,49 +168,98 @@ func Solve(a *linalg.Matrix, rhs []units.Joule, tol float64) (*Result, error) {
 	}, nil
 }
 
-// dual computes w = Aᵀr column by column from the row-major a, without
-// materializing Aᵀ. Each entry sums over the rows in order, the same
-// operations, in the same order, as a row of Aᵀ times r.
+// dual computes w = Aᵀr in one row-major pass over a, with one running
+// sum per column. Each sum adds its rows' products in row order, the
+// same operations, in the same order, as a row of Aᵀ times r.
 func dual(w []float64, a *linalg.Matrix, r []float64) {
 	n := a.Cols
-	for j := range w {
-		var s float64
-		for i, ri := range r {
-			s += a.Data[i*n+j] * ri
+	w = w[:n]
+	clear(w)
+	for i, ri := range r {
+		row := a.Data[i*n : (i+1)*n]
+		for j, v := range row {
+			w[j] += v * ri
 		}
-		w[j] = s
 	}
 }
 
-// solvePassive solves the least-squares problem restricted to the passive
-// columns, returning a full-length vector with zeros in active positions.
-// scratch, at least a.Rows*a.Cols long, holds the passive-column
-// submatrix, which the QR factorization then overwrites.
-func solvePassive(a *linalg.Matrix, b []float64, passive []bool, scratch []float64) ([]float64, error) {
-	cols := make([]int, 0, len(passive))
+// refresh sets r = b - A*x and w = Aᵀr in one row-major pass over a.
+// Each entry of r takes MulVecTo's operations in its order, and each
+// entry of w dual's.
+func refresh(r, w []float64, a *linalg.Matrix, b, x []float64) {
+	n := a.Cols
+	w, x = w[:n], x[:n]
+	clear(w)
+	for i := range r {
+		row := a.Data[i*n : (i+1)*n]
+		var s float64
+		for j, v := range row {
+			s += v * x[j]
+		}
+		ri := b[i] - s
+		r[i] = ri
+		for j, v := range row {
+			w[j] += v * ri
+		}
+	}
+}
+
+// passiveSolver solves the least-squares problem restricted to the
+// passive columns of a, taken in index order. Its QR keeps the
+// factorization of the last passive set, and a new set reuses the part
+// of it that covers their common leading columns: the column admitted or
+// dropped between two inner iterations refactors only itself and the
+// columns after it.
+type passiveSolver struct {
+	a          *linalg.Matrix
+	qr         *linalg.QR
+	cols, next []int     // the columns qr holds; the set being solved
+	zsub       []float64 // solution over the passive columns
+}
+
+func newPassiveSolver(a *linalg.Matrix) *passiveSolver {
+	n := a.Cols
+	return &passiveSolver{
+		a:    a,
+		qr:   linalg.NewQR(a.Rows, min(a.Rows, n)),
+		cols: make([]int, 0, n),
+		next: make([]int, 0, n),
+		zsub: make([]float64, n),
+	}
+}
+
+// solve writes into z the least-squares solution over the passive
+// columns, with zeros in active positions.
+func (ps *passiveSolver) solve(z, b []float64, passive []bool) error {
+	next, k := ps.next[:len(passive)], 0
 	for j, p := range passive {
 		if p {
-			cols = append(cols, j)
+			next[k] = j
+			k++
 		}
 	}
-	if len(cols) == 0 {
-		return make([]float64, len(passive)), nil
+	next = next[:k]
+	keep := 0
+	for keep < len(next) && keep < len(ps.cols) && next[keep] == ps.cols[keep] {
+		keep++
 	}
-	sub := &linalg.Matrix{Rows: a.Rows, Cols: len(cols), Data: scratch[:a.Rows*len(cols)]}
-	for i := 0; i < a.Rows; i++ {
-		for jj, j := range cols {
-			sub.Set(i, jj, a.At(i, j))
-		}
+	ps.qr.Truncate(keep)
+	for _, j := range next[keep:] {
+		ps.qr.AppendColumn(ps.a, j)
 	}
-	zsub, err := linalg.FactorQRInPlace(sub).Solve(b)
-	if err != nil {
-		return nil, err
+	ps.cols, ps.next = next, ps.cols
+	clear(z)
+	if len(next) == 0 {
+		return nil
 	}
-	z := make([]float64, len(passive))
-	for jj, j := range cols {
+	zsub := ps.zsub[:len(next)]
+	if err := ps.qr.SolveTo(zsub, b); err != nil {
+		return err
+	}
+	for jj, j := range next {
 		z[j] = zsub[jj]
 	}
-	return z, nil
+	return nil
 }
 
 func allPositive(z []float64, passive []bool, tol float64) bool {
